@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -84,10 +85,12 @@ def _parse_budgets(text: str) -> list[float]:
             vals = [lo + i * step for i in range(max(count, 0))]
         else:
             vals = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"cannot parse budgets {text!r}: {exc}") from None
     if not vals:
         raise UsageError(f"no budgets in {text!r}")
+    if not all(math.isfinite(b) for b in vals):
+        raise UsageError(f"budgets must be finite, got {text!r}")
     if any(b2 <= b1 for b1, b2 in zip(vals, vals[1:])):
         raise UsageError("budgets must be strictly increasing")
     return vals
@@ -134,7 +137,6 @@ def _cmd_curve(args) -> int:
         refine_rounds=args.refine,
         v_size_max=args.vmax,
         u_size_max=args.umax,
-        tolerance=args.tol,
     )
     if args.mode in ("lossy-causal", "bounds") and args.distortion is None:
         raise UsageError(f"--mode {args.mode} needs --distortion")
@@ -145,7 +147,6 @@ def _cmd_curve(args) -> int:
         f"refine_rounds={config.refine_rounds} "
         f"v_size_max={config.resolved_v_max(spec)} "
         f"u_size_max={config.resolved_u_max(spec)} "
-        f"tolerance={_fmt(config.tolerance)} "
         f"distortion={_fmt(args.distortion) if args.distortion is not None else 'none'}",
     ]
     if args.mode == "bounds":
@@ -175,7 +176,7 @@ def _cmd_curve(args) -> int:
                 _fmt(args.distortion) if args.distortion is not None else "",
                 _fmt(pt.rate),
                 args.mode,
-                pt.exact,
+                False,
                 pt.argmin_summary(),
             )
             for pt in curve.points
@@ -522,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--refine", type=int, default=3)
     p_curve.add_argument("--vmax", type=int, default=None)
     p_curve.add_argument("--umax", type=int, default=None)
-    p_curve.add_argument("--tol", type=float, default=1e-6)
     p_curve.add_argument("--out", default=None, help="output file (default stdout)")
     p_curve.set_defaults(func=_cmd_curve)
 

@@ -22,6 +22,7 @@ vectorized evaluator and is cross-checked against these functions.
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +74,14 @@ class ProblemSpec:
       channel:     p(y | a, s), shape (a_size, s_size, y_size), rows sum to 1.
       cost:        cost[a, s, y] >= 0, same leading shape as channel.
       distortion:  optional d[y, yhat] >= 0 for lossy reconstruction.
-      u_size:      optional alphabet size hint for decoder-side descriptions.
+
+    Every entry must be finite.
     """
 
     state_joint: np.ndarray
     channel: np.ndarray
     cost: np.ndarray
     distortion: np.ndarray | None = None
-    u_size: int | None = None
 
     def __post_init__(self):
         sj = _ro(self.state_joint)
@@ -96,6 +97,9 @@ class ProblemSpec:
             raise UsageError(
                 f"channel s-axis {ch.shape[1]} != state_joint s-axis {sj.shape[0]}"
             )
+        for name, arr in (("state_joint", sj), ("channel", ch), ("cost", co)):
+            if not np.all(np.isfinite(arr)):
+                raise InvalidDistributionError(f"{name} entries must be finite")
         if np.any(sj < 0.0) or abs(float(sj.sum()) - 1.0) > MASS_TOL:
             raise InvalidDistributionError("state_joint is not a pmf")
         if np.any(ch < 0.0) or np.any(np.abs(ch.sum(axis=-1) - 1.0) > MASS_TOL):
@@ -107,10 +111,8 @@ class ProblemSpec:
             di = _ro(di)
             if di.ndim != 2 or di.shape[0] != ch.shape[2]:
                 raise UsageError("distortion must be 2-D with leading y axis")
-            if np.any(di < 0.0):
-                raise InvalidDistributionError("distortion entries must be >= 0")
-        if self.u_size is not None and int(self.u_size) < 1:
-            raise UsageError("u_size must be >= 1")
+            if not np.all(np.isfinite(di)) or np.any(di < 0.0):
+                raise InvalidDistributionError("distortion entries must be finite and >= 0")
         object.__setattr__(self, "state_joint", sj)
         object.__setattr__(self, "channel", ch)
         object.__setattr__(self, "cost", co)
@@ -153,7 +155,6 @@ class ProblemSpec:
         if self.distortion is not None:
             h.update(str(self.distortion.shape).encode())
             h.update(self.distortion.tobytes())
-        h.update(str(self.u_size).encode())
         return h.hexdigest()
 
 
@@ -197,7 +198,6 @@ class AuxiliaryChoice:
       u_given_y:   p(u | y), shape (y, u), decoder-side description that may
                    not look at V.
       u_given_yv:  p(u | y, v), shape (y, v, u), description that may.
-      yhat_map:    deterministic reconstruction yhat(z, u), shape (z, u).
     """
 
     policy: ActionPolicy
@@ -206,7 +206,6 @@ class AuxiliaryChoice:
     recon: np.ndarray | None = None
     u_given_y: np.ndarray | None = None
     u_given_yv: np.ndarray | None = None
-    yhat_map: np.ndarray | None = None
 
     def __post_init__(self):
         if (self.v_given_s is None) == (self.v_marginal is None):
@@ -221,12 +220,6 @@ class AuxiliaryChoice:
             if np.any(arr < 0.0) or np.any(np.abs(arr.sum(axis=-1) - 1.0) > MASS_TOL):
                 raise InvalidDistributionError(f"{name} rows are not pmfs")
             object.__setattr__(self, name, arr)
-        if self.yhat_map is not None:
-            arr = np.array(self.yhat_map, dtype=np.int64, copy=True)
-            if arr.ndim != 2:
-                raise UsageError("yhat_map must be 2-D (z, u)")
-            arr.setflags(write=False)
-            object.__setattr__(self, "yhat_map", arr)
 
     @property
     def causal(self) -> bool:
@@ -465,6 +458,8 @@ def _num_list(obj, path: str, length: int | None = None) -> list[float]:
     for i, x in enumerate(obj):
         _require(isinstance(x, (int, float)) and not isinstance(x, bool),
                  f"{path}[{i}]", "expected a number")
+        # also rejects NaN, which json accepts, and ints too large for a float
+        _require(abs(x) <= sys.float_info.max, f"{path}[{i}]", "expected a finite number")
         out.append(float(x))
     return out
 
@@ -490,12 +485,11 @@ def spec_from_json(text: str) -> ProblemSpec:
         _require(isinstance(val, int) and not isinstance(val, bool) and val >= 1,
                  f"alphabets.{key}", "must be an integer >= 1")
         sizes[key] = val
-    for key in ("yhat", "u"):
-        if key in alph:
-            val = alph[key]
-            _require(isinstance(val, int) and not isinstance(val, bool) and val >= 1,
-                     f"alphabets.{key}", "must be an integer >= 1")
-            sizes[key] = val
+    if "yhat" in alph:
+        val = alph["yhat"]
+        _require(isinstance(val, int) and not isinstance(val, bool) and val >= 1,
+                 "alphabets.yhat", "must be an integer >= 1")
+        sizes["yhat"] = val
 
     flat = _num_list(doc.get("state_joint"), "state_joint",
                      sizes["s"] * sizes["z"])
@@ -548,7 +542,6 @@ def spec_from_json(text: str) -> ProblemSpec:
         channel=channel,
         cost=cost,
         distortion=distortion,
-        u_size=sizes.get("u"),
     )
 
 
@@ -568,8 +561,6 @@ def spec_to_json(spec: ProblemSpec) -> str:
     if spec.distortion is not None:
         doc["alphabets"]["yhat"] = spec.yhat_size
         doc["distortion"] = spec.distortion.tolist()
-    if spec.u_size is not None:
-        doc["alphabets"]["u"] = spec.u_size
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -24,7 +24,8 @@ Large alphabets make the enumeration count explode; the sweep refuses with
 a SearchSpaceError (carrying the count) instead of running for hours. The
 cost constraint is handled two ways, both exposed: direct feasibility
 filtering against the frontier (``solve_*``), and ``lagrangian_sweep``,
-whose lower envelope cross-checks the direct curve by weak duality.
+whose lower envelope bounds the grid-only direct solve (refine_rounds=0)
+from below by weak duality; refinement leaves the grid and may go lower.
 
 Heavy sweeps (more than ~2e7 grid points) evaluate tiles in float32 for
 memory-bandwidth reasons; small sweeps stay in float64. Reported rates
@@ -84,6 +85,10 @@ _N_BUCKETS = 4096
 
 DEFAULT_LAGRANGE_SWEEP = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
+# Blahut iterations stop once every rate moves by less than _BA_TOL bits.
+_BA_TOL = 1e-9
+_BA_MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -102,13 +107,9 @@ class SolveConfig:
     refine_rounds: int = 3
     v_size_max: int | None = None
     u_size_max: int | None = None
-    tolerance: float = 1e-6
-    lagrange_sweep: tuple[float, ...] = DEFAULT_LAGRANGE_SWEEP
     search_limit: int = 4_000_000_000
     lambda_max: float = 50.0
     lambda_grid: int = 96
-    ba_tol: float = 1e-9
-    ba_max_iter: int = 500
 
     def __post_init__(self):
         if self.grid_steps < 2:
@@ -143,7 +144,6 @@ class RateCostPoint:
     feasible: bool = True
     distortion: float | None = None
     argmin: AuxiliaryChoice | None = None
-    exact: bool = False
     solved_rate: float | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -349,29 +349,22 @@ def _sweep_tiles(spec, policy, grid, causal, dtype, consume):
         consume(cost.reshape(-1), obj.reshape(-1), combos.reshape(-1))
 
 
-def _sweep_plan(spec, causal, config):
-    """(v_size, policies, grid, combos_per_policy) rows plus the total count."""
-    v_max = config.resolved_v_max(spec)
-    rows = []
-    total = 0
-    n_axes = 1 if causal else spec.s_size
-    for v_size in range(1, v_max + 1):
-        n = _simplex_grid_size(v_size, config.grid_steps)
-        combos = n**n_axes
-        count = _policy_count(spec, v_size) * combos
-        total += count
-        rows.append((v_size, n, combos))
-    return rows, total
+def _outer_count(spec, config, n_axes) -> int:
+    """Policies times grid combos over every V size: the outer enumeration."""
+    return sum(
+        _policy_count(spec, v) * _simplex_grid_size(v, config.grid_steps) ** n_axes
+        for v in range(1, config.resolved_v_max(spec) + 1)
+    )
 
 
 def _run_sweep(spec, causal, config) -> _Frontier:
-    rows, total = _sweep_plan(spec, causal, config)
+    total = _outer_count(spec, config, 1 if causal else spec.s_size)
     if total > config.search_limit:
         raise SearchSpaceError(total, config.search_limit, "grid sweep")
     dtype = np.float32 if total > _F32_THRESHOLD else np.float64
     lam = reduced_cost(spec)
     frontier = _Frontier(cost_ceiling=float(lam.max(initial=0.0)))
-    for v_size, _, _ in rows:
+    for v_size in range(1, config.resolved_v_max(spec) + 1):
         grid = _simplex_grid(v_size, config.grid_steps)
         for policy_id, policy in enumerate(_policies(spec, v_size)):
 
@@ -495,9 +488,15 @@ def _refine(rows, budget, config, evaluate):
     return rows, best_val, best_cost
 
 
+def _check_budgets(**named) -> None:
+    """Raise DomainError unless every named budget is finite and >= 0."""
+    for name, value in named.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _solve_lossless(spec, budget, causal, config) -> RateCostPoint:
-    if budget < 0.0:
-        raise DomainError(f"budget must be >= 0, got {budget!r}")
+    _check_budgets(budget=budget)
     config = config or SolveConfig()
     frontier = _cached_sweep(spec, causal, config)
     meta = {
@@ -548,21 +547,24 @@ def solve_causal(
 def lagrangian_sweep(
     spec: ProblemSpec,
     mode: str,
-    lambdas=None,
+    lambdas=DEFAULT_LAGRANGE_SWEEP,
     config: SolveConfig | None = None,
 ) -> list[dict]:
     """min(objective + lam * cost) over the swept cloud, per multiplier.
 
     For every lam >= 0 the minimizer lies on the Pareto frontier, so this
     reads the cached sweep. By weak duality, max over lam of
-    (value - lam * B) lower-bounds the direct solve at budget B; tests use
-    that as the cross-check between the two constraint treatments.
+    (value - lam * B) lower-bounds the grid-only direct solve at budget B,
+    i.e. the solve with refine_rounds=0, which answers from the same
+    frontier; tests use that as the cross-check between the two constraint
+    treatments. Refinement leaves the grid, so a refined solve may fall
+    below this bound.
     """
     causal = _parse_mode(mode)
     config = config or SolveConfig()
-    lambdas = config.lagrange_sweep if lambdas is None else tuple(lambdas)
-    if any(l < 0.0 for l in lambdas):
-        raise DomainError("multipliers must be >= 0")
+    lambdas = tuple(lambdas)
+    if not all(math.isfinite(l) and l >= 0.0 for l in lambdas):
+        raise DomainError("multipliers must be finite and >= 0")
     frontier = _cached_sweep(spec, causal, config)
     out = []
     for lam in lambdas:
@@ -609,8 +611,7 @@ def brute_force_oracle(
     quantization contributes |dR/dB| * step. The acceptance suite pins the
     documented slack 1e-2 at dense_steps = 64 on the binary instance.
     """
-    if budget < 0.0:
-        raise DomainError(f"budget must be >= 0, got {budget!r}")
+    _check_budgets(budget=budget)
     causal = _parse_mode(mode)
     if v_size is None:
         v_size = spec.s_size + 2
@@ -655,7 +656,7 @@ def brute_force_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _ba_rd_lagrangian(p_y: np.ndarray, d: np.ndarray, beta: np.ndarray, config):
+def _ba_rd_lagrangian(p_y: np.ndarray, d: np.ndarray, beta: np.ndarray):
     """Blahut iteration for min I(Y;Yhat) + beta * E[d], one problem per slope.
 
     Vectorized over leading axes of ``p_y`` (..., y) and slopes ``beta``
@@ -670,14 +671,14 @@ def _ba_rd_lagrangian(p_y: np.ndarray, d: np.ndarray, beta: np.ndarray, config):
     p = p_y[..., None]
     q_cond = np.broadcast_to(q_out[..., None, :], lead + d.shape)
     prev_rate = None
-    for _ in range(config.ba_max_iter):
+    for _ in range(_BA_MAX_ITER):
         scores = q_out[..., None, :] * w
         denom = scores.sum(axis=-1, keepdims=True)
         np.clip(denom, 1e-300, None, out=denom)
         q_cond = scores / denom
         q_out = (p * q_cond).sum(axis=-2)
         rate = _mi_of_kernel(p, q_cond, q_out)
-        if prev_rate is not None and np.all(np.abs(rate - prev_rate) < config.ba_tol):
+        if prev_rate is not None and np.all(np.abs(rate - prev_rate) < _BA_TOL):
             break
         prev_rate = rate
     q_out = (p * q_cond).sum(axis=-2)
@@ -694,8 +695,76 @@ def _mi_of_kernel(p, q_cond, q_out):
     return np.maximum((p * q_cond * logterm).sum(axis=(-1, -2)) / _LN2, 0.0)
 
 
-def _lossy_cells(spec, policy):
-    """Per-(v,z) output laws p(y|v,z) and the (v,z) support mask.
+def _slopes(config) -> np.ndarray:
+    """Shared multiplier grid in nats; index 0 is the exact zero-rate anchor."""
+    return np.concatenate(
+        [[0.0], np.geomspace(1e-3, config.lambda_max, config.lambda_grid - 1)]
+    ) * _LN2
+
+
+def _const_dist(cells, d_table) -> np.ndarray:
+    """Distortion of each constant reconstruction per cell, shape (cells, yhat)."""
+    return (cells[:, :, None] * d_table[None, :, :]).sum(1)
+
+
+def _cell_curves(cells, d_table, slopes):
+    """Per-cell (rate, distortion) at every slope, each of shape (cells, K).
+
+    Column 0 holds the exact zero-rate anchor, the best constant
+    reconstruction per cell, instead of the Blahut value at slope 0.
+    """
+    rate_k, dist_k, _ = _ba_rd_lagrangian(
+        cells[:, None, :], d_table, np.broadcast_to(slopes, (len(cells), len(slopes)))
+    )
+    rate_k[:, 0] = 0.0
+    dist_k[:, 0] = _const_dist(cells, d_table).min(axis=1)
+    return rate_k, dist_k
+
+
+def _mixture_rate(w, rate_k, dist_k, distortion_budget) -> float:
+    """Rate of the cell mixture ``w`` at the first slope that meets the
+    distortion budget, or inf if none does."""
+    ok = np.flatnonzero(w @ dist_k <= distortion_budget + _FEAS_EPS)
+    return float((w @ rate_k)[ok[0]]) if len(ok) else np.inf
+
+
+def _rd_bisect(cells, w, d_table, distortion_budget, config):
+    """Exact common-multiplier bisection for the cell mixture ``w``.
+
+    Returns (rate, q) with q the (cells, y, yhat) reconstruction kernels.
+    The zero-rate anchor answers whenever a constant reconstruction per
+    cell already meets the distortion budget.
+    """
+    d0_cells = _const_dist(cells, d_table)
+    best_const = d0_cells.argmin(axis=1)
+    if float(w @ d0_cells[np.arange(len(cells)), best_const]) <= distortion_budget + _FEAS_EPS:
+        q0 = np.zeros((len(cells),) + d_table.shape)
+        q0[np.arange(len(cells)), :, best_const] = 1.0
+        return 0.0, q0
+
+    def solve_at(beta: float):
+        rate_c, dist_c, q = _ba_rd_lagrangian(cells, d_table, np.full(len(cells), beta))
+        return float(w @ rate_c), float(w @ dist_c), q
+
+    beta_hi = config.lambda_max * _LN2
+    rate, dist, q = solve_at(beta_hi)
+    if dist > distortion_budget + 1e-9:
+        raise IntegrityError(
+            f"distortion {distortion_budget} unreachable at lambda_max={config.lambda_max}"
+        )
+    lo, hi = 0.0, beta_hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        rate_m, dist_m, q_m = solve_at(mid)
+        if dist_m <= distortion_budget + _FEAS_EPS:
+            hi, rate, q = mid, rate_m, q_m
+        else:
+            lo = mid
+    return rate, q
+
+
+def _lossy_cells(spec, policy) -> np.ndarray:
+    """Per-(v,z) output laws p(y|v,z) as (v*z, y) cells.
 
     In the causal pattern V is independent of (S, Z), so these laws do not
     depend on p(v); candidates only reweight them.
@@ -707,8 +776,15 @@ def _lossy_cells(spec, policy):
         p_s_given_z = np.where(
             p_z[None, :] > 0.0, spec.state_joint / np.where(p_z == 0.0, 1.0, p_z)[None, :], 0.0
         )  # (s, z)
-    p_y_vz = np.einsum("sz,svy->vzy", p_s_given_z, t)  # (v, z, y)
-    return p_y_vz, p_z
+    return np.einsum("sz,svy->vzy", p_s_given_z, t).reshape(-1, spec.y_size)
+
+
+def _column_costs(spec, policy) -> np.ndarray:
+    """Expected cost of each V symbol's action column, shape (v,)."""
+    lam = reduced_cost(spec)
+    return np.einsum(
+        "s,sv->v", spec.state_marginal, lam[np.arange(spec.s_size)[:, None], policy]
+    )
 
 
 def solve_lossy_causal(
@@ -728,56 +804,37 @@ def solve_lossy_causal(
     exactly. Infeasible (budget, distortion) pairs return a typed
     infeasible point rather than raising.
     """
-    if budget < 0.0:
-        raise DomainError(f"budget must be >= 0, got {budget!r}")
-    if distortion_budget < 0.0:
-        raise DomainError(f"distortion budget must be >= 0, got {distortion_budget!r}")
+    _check_budgets(budget=budget, distortion_budget=distortion_budget)
     if spec.distortion is None:
         raise UsageError("spec has no distortion table; lossless solves apply")
     config = config or SolveConfig()
     d_table = spec.distortion
     v_max = config.resolved_v_max(spec)
     p_z = spec.side_info_marginal
-    lam_sa = reduced_cost(spec)
-    p_s = spec.state_marginal
 
-    total = sum(
-        _policy_count(spec, v) * _simplex_grid_size(v, config.grid_steps)
-        for v in range(1, v_max + 1)
-    )
+    total = _outer_count(spec, config, 1)
     if total * config.lambda_grid > config.search_limit:
         raise SearchSpaceError(total * config.lambda_grid, config.search_limit,
                                "lossy sweep")
+    slopes = _slopes(config)
 
-    betas = np.concatenate(
-        [[0.0], np.geomspace(1e-3, config.lambda_max, config.lambda_grid - 1)]
-    ) * _LN2  # slopes in nats; index 0 is the exact zero-rate anchor
-
-    best = {
-        "rate": np.inf, "policy": None, "rows": None, "cost": np.inf,
-        "capped_floor": np.inf,
-    }
+    # "curves" keeps the incumbent policy's (cells, rate_k, dist_k, cost_v)
+    best = {"rate": np.inf, "policy": None, "rows": None, "curves": None,
+            "capped_floor": np.inf}
     any_cost_feasible = False
 
     for v_size in range(1, v_max + 1):
         grid = _simplex_grid(v_size, config.grid_steps)
         for policy in _policies(spec, v_size):
-            p_y_vz, _ = _lossy_cells(spec, policy)  # (v, z, y)
-            cells = p_y_vz.reshape(-1, spec.y_size)  # (v*z, y)
-            rate_k, dist_k, _ = _ba_rd_lagrangian(
-                cells[:, None, :], d_table, np.broadcast_to(betas, (len(cells), len(betas))),
-                config,
-            )  # (cells, K)
-            # exact zero-rate anchor: best constant yhat per cell
-            rate_k[:, 0] = 0.0
-            dist_k[:, 0] = (cells[:, :, None] * d_table[None, :, :]).sum(1).min(axis=1)
-            cost_v = np.einsum("s,sv->v", p_s, lam_sa[np.arange(spec.s_size)[:, None], policy])
-            w = (grid[:, :, None] * p_z[None, None, :]).reshape(len(grid), -1)  # (n, cells)
+            cost_v = _column_costs(spec, policy)
             cand_cost = grid @ cost_v
             feas_cost = cand_cost <= budget + _FEAS_EPS
             if not np.any(feas_cost):
                 continue
             any_cost_feasible = True
+            cells = _lossy_cells(spec, policy)
+            rate_k, dist_k = _cell_curves(cells, d_table, slopes)  # (cells, K)
+            w = (grid[:, :, None] * p_z[None, None, :]).reshape(len(grid), -1)  # (n, cells)
             dists = w[feas_cost] @ dist_k  # (n_feas, K)
             rates = w[feas_cost] @ rate_k
             ok = dists <= distortion_budget + _FEAS_EPS
@@ -791,7 +848,8 @@ def solve_lossy_causal(
                     rows_idx = np.flatnonzero(feas_cost)[sub[j]]
                     best.update(
                         rate=float(cand_rates[j]), policy=policy,
-                        rows=grid[rows_idx][None, :], cost=float(cand_cost[rows_idx]),
+                        rows=grid[rows_idx][None, :],
+                        curves=(cells, rate_k, dist_k, cost_v),
                     )
             # candidates that even the capped multiplier cannot resolve
             capped = np.flatnonzero(~has_k)
@@ -825,125 +883,28 @@ def solve_lossy_causal(
     # Refinement ranks candidates on the shared multiplier grid (the cells,
     # and hence the per-cell curves, do not depend on p(v)); only the final
     # winner pays for an exact multiplier bisection.
-    win_policy = best["policy"]
-    p_y_vz, _ = _lossy_cells(spec, win_policy)
-    cells = p_y_vz.reshape(-1, spec.y_size)
-    rate_k, dist_k, _ = _ba_rd_lagrangian(
-        cells[:, None, :], d_table,
-        np.broadcast_to(betas, (len(cells), len(betas))), config,
-    )
-    rate_k[:, 0] = 0.0
-    dist_k[:, 0] = (cells[:, :, None] * d_table[None, :, :]).sum(1).min(axis=1)
-    cost_v = np.einsum(
-        "s,sv->v", p_s, lam_sa[np.arange(spec.s_size)[:, None], win_policy]
-    )
+    cells, rate_k, dist_k, cost_v = best["curves"]
 
     def evaluate(rows):
         w = (rows[0][:, None] * p_z[None, :]).reshape(-1)
-        dists = w @ dist_k
-        ok = np.flatnonzero(dists <= distortion_budget + _FEAS_EPS)
-        if not len(ok):
-            return np.inf, float(rows[0] @ cost_v)
-        return float((w @ rate_k)[ok[0]]), float(rows[0] @ cost_v)
+        return _mixture_rate(w, rate_k, dist_k, distortion_budget), float(rows[0] @ cost_v)
 
-    rows, value, cost = _refine(best["rows"], budget, config, evaluate)
-    value, cost, recon = _lossy_exact_value(
-        spec, best["policy"], rows[0], distortion_budget, config
+    rows, _, _ = _refine(best["rows"], budget, config, evaluate)
+    r = rows[0]
+    value, q = _rd_bisect(
+        cells, (r[:, None] * p_z[None, :]).reshape(-1), d_table, distortion_budget, config
     )
+    v_size = int(best["policy"].shape[1])
     aux = AuxiliaryChoice(
-        policy=ActionPolicy(best["policy"]), v_marginal=rows[0], recon=recon
+        policy=ActionPolicy(best["policy"]), v_marginal=r,
+        recon=_cells_to_recon(q, v_size, spec),
     )
-    meta["v_size"] = int(best["policy"].shape[1])
+    meta["v_size"] = v_size
     return RateCostPoint(
-        budget=float(budget), rate=value, cost=cost, feasible=True,
+        budget=float(budget), rate=value, cost=float(r @ cost_v), feasible=True,
         distortion=float(distortion_budget), argmin=aux, solved_rate=value,
         metadata=meta,
     )
-
-
-def _exact_rd_mixture(cells, w, d_table, distortion_budget, config) -> float:
-    """Exact common-multiplier bisection for one weighted mixture of
-    reconstruction cells; the rate-only core of the winner re-solve."""
-
-    def solve_at(beta: float):
-        rate_c, dist_c, _ = _ba_rd_lagrangian(
-            cells, d_table, np.full(len(cells), beta), config
-        )
-        return float(w @ rate_c), float(w @ dist_c)
-
-    d0 = float(w @ (cells[:, :, None] * d_table[None, :, :]).sum(1).min(axis=1))
-    if d0 <= distortion_budget + _FEAS_EPS:
-        return 0.0
-    beta_hi = config.lambda_max * _LN2
-    rate_hi, dist_hi = solve_at(beta_hi)
-    if dist_hi > distortion_budget + 1e-9:
-        raise IntegrityError(
-            f"distortion {distortion_budget} unreachable at "
-            f"lambda_max={config.lambda_max}"
-        )
-    lo, hi = 0.0, beta_hi
-    rate_best = rate_hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        rate_m, dist_m = solve_at(mid)
-        if dist_m <= distortion_budget + _FEAS_EPS:
-            hi = mid
-            rate_best = rate_m
-        else:
-            lo = mid
-    return rate_best
-
-
-def _lossy_exact_value(spec, policy, r, distortion_budget, config):
-    """Exact-bisection inner solve for one causal candidate.
-
-    Returns (rate, cost, recon kernel (y, v, z, yhat)).
-    """
-    p_z = spec.side_info_marginal
-    p_y_vz, _ = _lossy_cells(spec, policy)
-    v_size = policy.shape[1]
-    cells = p_y_vz.reshape(-1, spec.y_size)
-    w = (r[:, None] * p_z[None, :]).reshape(-1)
-    d_table = spec.distortion
-    lam_sa = reduced_cost(spec)
-    cost = float(
-        r @ np.einsum("s,sv->v", spec.state_marginal,
-                      lam_sa[np.arange(spec.s_size)[:, None], policy])
-    )
-
-    def solve_at(beta: float):
-        rate_c, dist_c, q = _ba_rd_lagrangian(
-            cells, d_table, np.full(len(cells), beta), config
-        )
-        return float(w @ rate_c), float(w @ dist_c), q
-
-    # zero-rate anchor
-    d0_cells = (cells[:, :, None] * d_table[None, :, :]).sum(1)
-    best_const = d0_cells.argmin(axis=1)
-    d0 = float(w @ d0_cells[np.arange(len(cells)), best_const])
-    if d0 <= distortion_budget + _FEAS_EPS:
-        q0 = np.zeros((len(cells), spec.y_size, d_table.shape[1]))
-        q0[np.arange(len(cells)), :, best_const] = 1.0
-        recon = _cells_to_recon(q0, v_size, spec)
-        return 0.0, cost, recon
-    beta_hi = config.lambda_max * _LN2
-    rate_hi, dist_hi, q_hi = solve_at(beta_hi)
-    if dist_hi > distortion_budget + 1e-9:
-        raise IntegrityError(
-            f"distortion {distortion_budget} unreachable at lambda_max={config.lambda_max}"
-        )
-    lo, hi = 0.0, beta_hi
-    q_best, rate_best = q_hi, rate_hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        rate_m, dist_m, q_m = solve_at(mid)
-        if dist_m <= distortion_budget + _FEAS_EPS:
-            hi = mid
-            q_best, rate_best = q_m, rate_m
-        else:
-            lo = mid
-    recon = _cells_to_recon(q_best, v_size, spec)
-    return float(rate_best), cost, recon
 
 
 def _cells_to_recon(q_cells, v_size, spec):
@@ -1021,15 +982,11 @@ def evaluate_lossy_bounds(
     """
     if spec.distortion is None:
         raise UsageError("spec has no distortion table")
-    if budget < 0.0 or distortion_budget < 0.0:
-        raise DomainError("budget and distortion budget must be >= 0")
+    _check_budgets(budget=budget, distortion_budget=distortion_budget)
     config = config or SolveConfig()
     v_max = config.resolved_v_max(spec)
     u_max = config.resolved_u_max(spec)
-    outer = sum(
-        _policy_count(spec, v) * _simplex_grid_size(v, config.grid_steps) ** spec.s_size
-        for v in range(1, v_max + 1)
-    )
+    outer = _outer_count(spec, config, spec.s_size)
     u_inner = sum(
         _simplex_grid_size(u, config.grid_steps) ** spec.y_size
         for u in range(1, u_max + 1)
@@ -1043,9 +1000,7 @@ def evaluate_lossy_bounds(
         raise SearchSpaceError(required, config.search_limit, "lossy bound sweep")
 
     d_table = spec.distortion
-    betas = np.concatenate(
-        [[0.0], np.geomspace(1e-3, config.lambda_max, config.lambda_grid - 1)]
-    ) * _LN2
+    slopes = _slopes(config)
 
     best = {
         "si-both": (np.inf, None),
@@ -1084,19 +1039,11 @@ def evaluate_lossy_bounds(
         w = p_vz.reshape(-1)
 
         # si-both: per-cell reconstruction with a shared multiplier grid
-        rate_k, dist_k, _ = _ba_rd_lagrangian(
-            p_y_cells[:, None, :], d_table,
-            np.broadcast_to(betas, (len(w), len(betas))), config,
-        )
-        rate_k[:, 0] = 0.0
-        dist_k[:, 0] = (p_y_cells[:, :, None] * d_table[None, :, :]).sum(1).min(axis=1)
-        dists = w @ dist_k
-        ok = np.flatnonzero(dists <= distortion_budget + _FEAS_EPS)
-        if len(ok):
-            val = i_vs_z + float((w @ rate_k)[ok[0]])
-            if val < best["si-both"][0]:
-                best["si-both"] = (val, _make_aux(policy, rows, False))
-                sib_winner = (p_y_cells, w, i_vs_z)
+        rate_k, dist_k = _cell_curves(p_y_cells, d_table, slopes)
+        val = i_vs_z + _mixture_rate(w, rate_k, dist_k, distortion_budget)
+        if val < best["si-both"][0]:
+            best["si-both"] = (val, _make_aux(policy, rows, False))
+            sib_winner = (p_y_cells, w, i_vs_z)
 
         # decoder-side descriptions
         p_vy = p_zvy.sum(axis=0)  # (v, y)
@@ -1128,9 +1075,7 @@ def evaluate_lossy_bounds(
     # inner problem by exact bisection, as the lossy solver does
     if sib_winner is not None:
         cells_w, w_w, i_w = sib_winner
-        exact = i_w + _exact_rd_mixture(
-            cells_w, w_w, d_table, distortion_budget, config
-        )
+        exact = i_w + _rd_bisect(cells_w, w_w, d_table, distortion_budget, config)[0]
         if exact < best["si-both"][0]:
             best["si-both"] = (exact, best["si-both"][1])
 

@@ -67,6 +67,14 @@ class TestBudgetParsing:
             with pytest.raises(UsageError):
                 _parse_budgets(bad)
 
+    def test_non_finite_budgets_exit_2(self, capsys, spec_file):
+        for bad in ("nan", "0.1,inf", "0:inf:0.1", "0:1:nan"):
+            with pytest.raises(UsageError):
+                _parse_budgets(bad)
+        code = main(["curve", "--spec", spec_file, "--budgets", "nan"])
+        assert code == 2
+        assert "nan" in capsys.readouterr().err
+
     def test_out_of_order_budgets_exit_2(self, capsys, spec_file):
         code = main(["closed-form", "--p", "0.1", "--budgets", "0.4,0.2"])
         assert code == 2
@@ -144,7 +152,7 @@ class TestCurveCommand:
         comments, _, _ = read_csv(out)
         blob = " ".join(comments)
         for fragment in ("grid_steps=6", "refine_rounds=0", "v_size_max=2",
-                         "u_size_max=4", "tolerance=1e-06", "fingerprint="):
+                         "u_size_max=4", "fingerprint="):
             assert fragment in blob
 
     def test_infeasible_budgets_print_inf(self, tmp_path):
@@ -201,6 +209,15 @@ class TestCurveCommand:
         code = main(["curve", "--spec", str(bad), "--budgets", "0.1,0.2"])
         assert code == 2
         assert "channel[0][0]" in capsys.readouterr().err
+
+    def test_non_finite_cost_names_the_json_path(self, tmp_path, capsys):
+        doc = json.loads(spec_to_json(make_binary_example(0.1)))
+        doc["cost"][0][0][0] = float("inf")  # json writes it as Infinity
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["curve", "--spec", str(bad), "--budgets", "0.1,0.2"])
+        assert code == 2
+        assert "cost[0][0]" in capsys.readouterr().err
 
     def test_missing_spec_file_exit_2(self, capsys, tmp_path):
         code = main(["curve", "--spec", str(tmp_path / "nope.json"),

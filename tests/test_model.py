@@ -125,6 +125,22 @@ class TestProblemSpecValidation:
                 cost=np.full((2, 2, 2), -1.0),
             )
 
+    def test_rejects_non_finite_entries(self):
+        """NaN passes every comparison-based pmf check, so it needs its own."""
+        base = make_binary_example(0.1, with_distortion=True)
+        nan_row = np.array(base.channel)
+        nan_row[0, 0] = [np.nan, 1.0]
+        inf_cost = np.array(base.cost)
+        inf_cost[1, 1, 0] = np.inf
+        inf_dist = np.array(base.distortion)
+        inf_dist[0, 1] = np.inf
+        for channel, cost, dist in ((nan_row, base.cost, None),
+                                    (base.channel, inf_cost, None),
+                                    (base.channel, base.cost, inf_dist)):
+            with pytest.raises(InvalidDistributionError, match="finite"):
+                ProblemSpec(state_joint=base.state_joint, channel=channel,
+                            cost=cost, distortion=dist)
+
     def test_distortion_shape_and_sign(self):
         good = make_binary_example(0.1, with_distortion=True)
         assert good.yhat_size == 2
@@ -530,6 +546,20 @@ class TestJsonRoundTrips:
         bad2["state_joint"] = [0.5, 0.6]
         with pytest.raises(SpecFormatError, match="state_joint"):
             spec_from_json(json.dumps(bad2))
+
+    def test_non_finite_numbers_name_the_json_path(self):
+        """json accepts NaN and Infinity; the loader must not."""
+        good = json.loads(spec_to_json(make_binary_example(0.1)))
+        for key, value in (("cost", float("inf")), ("channel", float("nan"))):
+            bad = dict(good)
+            bad[key] = json.loads(json.dumps(good[key]))
+            bad[key][0][1][0] = value
+            path = rf"{key}\[0\]\[1\]\[0\]: expected a finite"
+            with pytest.raises(SpecFormatError, match=path):
+                spec_from_json(json.dumps(bad))
+        bad = dict(good, state_joint=[0.5, 10**400])
+        with pytest.raises(SpecFormatError, match=r"state_joint\[1\]"):
+            spec_from_json(json.dumps(bad))
 
     def test_spec_alphabets_validated(self):
         good = json.loads(spec_to_json(make_binary_example(0.1)))

@@ -24,6 +24,7 @@ from actrate.model import (
     noncausal_rate,
 )
 from actrate.solver import (
+    DEFAULT_LAGRANGE_SWEEP,
     RateCostPoint,
     SolveConfig,
     brute_force_oracle,
@@ -163,6 +164,21 @@ class TestLosslessSolves:
         with pytest.raises(DomainError):
             solve_causal(make_binary_example(0.1), -0.1, QUICK)
 
+    def test_non_finite_budgets_rejected(self):
+        """NaN compares false against every bound, so it must be refused
+        explicitly rather than answered as a feasible point."""
+        spec = make_binary_example(0.1, with_distortion=True)
+        tiny = SolveConfig(grid_steps=2, v_size_max=1, refine_rounds=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                solve_noncausal(spec, bad, tiny)
+            with pytest.raises(DomainError):
+                brute_force_oracle(spec, bad, dense_steps=2, v_size=1)
+            with pytest.raises(DomainError):
+                solve_lossy_causal(spec, 0.2, bad, tiny)
+            with pytest.raises(DomainError):
+                evaluate_lossy_bounds(spec, bad, 0.1, tiny)
+
     def test_copy_channel_respects_rd_lower_bound(self):
         """Describing Y = A within Hamming budget B of S cannot beat the
         rate-distortion line 1 - H2(B)."""
@@ -248,13 +264,31 @@ class TestLagrangianSweep:
         spec = make_binary_example(0.1)
         cfg = SolveConfig(grid_steps=6, v_size_max=2, refine_rounds=0)
         entries = lagrangian_sweep(spec, "causal", config=cfg)
-        assert len(entries) == len(cfg.lagrange_sweep)
-        for e, lam in zip(entries, cfg.lagrange_sweep):
+        assert len(entries) == len(DEFAULT_LAGRANGE_SWEEP)
+        for e, lam in zip(entries, DEFAULT_LAGRANGE_SWEEP):
             assert set(e) == {"lam", "value", "objective", "cost"}
             np.testing.assert_allclose(e["lam"], lam, atol=1e-15)
             np.testing.assert_allclose(
                 e["value"], e["objective"] + e["lam"] * e["cost"], atol=1e-12
             )
+
+    def test_weak_duality_bounds_the_grid_only_solve(self):
+        """max over lam of (value - lam * B) never exceeds the solve at B
+        with refine_rounds=0; refinement leaves the grid, so refined solves
+        are not covered by the bound."""
+        spec = make_binary_example(0.1)
+        cfg = SolveConfig(grid_steps=6, v_size_max=2, refine_rounds=0)
+        for mode, solve in (("noncausal", solve_noncausal), ("causal", solve_causal)):
+            entries = lagrangian_sweep(spec, mode, config=cfg)
+            for b in (0.05, 0.2, 0.35):
+                dual = max(e["value"] - e["lam"] * b for e in entries)
+                assert dual <= solve(spec, b, cfg).rate + 1e-9
+
+    def test_non_finite_multipliers_rejected(self):
+        cfg = SolveConfig(grid_steps=4, v_size_max=2, refine_rounds=0)
+        for lam in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                lagrangian_sweep(make_binary_example(0.1), "causal", [0.0, lam], cfg)
 
     def test_values_nondecreasing_in_multiplier(self):
         """A larger price on cost can only raise the optimal tradeoff value."""
