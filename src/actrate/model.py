@@ -217,7 +217,11 @@ class AuxiliaryChoice:
             if val is None:
                 continue
             arr = _ro(val)
-            if np.any(arr < 0.0) or np.any(np.abs(arr.sum(axis=-1) - 1.0) > MASS_TOL):
+            # a non-finite entry fails one of these comparisons, so the
+            # finiteness test costs nothing on the solvers' hot path
+            if np.any(arr < 0.0) or not np.all(np.abs(arr.sum(axis=-1) - 1.0) <= MASS_TOL):
+                if not np.all(np.isfinite(arr)):
+                    raise InvalidDistributionError(f"{name} entries must be finite")
                 raise InvalidDistributionError(f"{name} rows are not pmfs")
             object.__setattr__(self, name, arr)
 

@@ -3,10 +3,19 @@
 The objectives are not jointly convex in the auxiliary distribution, so the
 solver does a certifiable enumeration instead of descent:
 
-  * every deterministic action policy a = f(s, v) is enumerated, up to
-    relabeling of the V alphabet (an exact symmetry: the probability grid
-    below is permutation-invariant, so only the multiset of per-v action
-    columns matters);
+  * every deterministic action policy a = f(s, v) with distinct per-v
+    action columns f(., v) is enumerated, up to relabeling of the V
+    alphabet (an exact symmetry: the probability grid below is
+    permutation-invariant, so only the set of columns matters). A policy
+    that repeats a column is never better than the one that merges the two
+    symbols: summing their p(v|s) entries keeps the cost, never raises
+    H(V,Y|Z) - H(V|S) because V - (S, V') - (Y, Z), and lands on the same
+    grid with one symbol fewer, which the sweep visits too. In the causal
+    patterns identical columns give identical (v, z) cells, so nothing
+    changes there either. Hence |V| never exceeds |A|^|S| in the sweep.
+    ``brute_force_oracle`` (the plain independent check) and
+    ``evaluate_lossy_bounds`` (where a per-v description kernel can use
+    the repeat) keep the full multiset enumeration;
   * the auxiliary distribution (p(v|s) rows, or a single p(v) row in the
     causal pattern) ranges over a uniform simplex grid with ``grid_steps``
     subdivisions per coordinate;
@@ -189,18 +198,31 @@ def _action_columns(spec: ProblemSpec) -> list[tuple[int, ...]]:
     return list(itertools.product(range(spec.a_size), repeat=spec.s_size))
 
 
-def _policies(spec: ProblemSpec, v_size: int) -> list[np.ndarray]:
-    """Policy tables (s, v), one per multiset of action columns."""
+def _policies(spec: ProblemSpec, v_size: int, repeats: bool = False) -> list[np.ndarray]:
+    """Policy tables (s, v), one per set of ``v_size`` distinct action columns.
+
+    Merging two symbols that share a column never worsens a lossless or
+    lossy-causal objective (see the module docstring), so the sweeps skip
+    repeats; ``repeats=True`` gives the full multiset enumeration that the
+    oracle and the lossy bounds keep.
+    """
     cols = _action_columns(spec)
-    out = []
-    for combo in itertools.combinations_with_replacement(range(len(cols)), v_size):
-        table = np.array([cols[c] for c in combo]).T  # (s, v)
-        out.append(np.ascontiguousarray(table))
-    return out
+    pick = itertools.combinations_with_replacement if repeats else itertools.combinations
+    return [
+        np.ascontiguousarray(np.array([cols[c] for c in combo]).T)  # (s, v)
+        for combo in pick(range(len(cols)), v_size)
+    ]
 
 
-def _policy_count(spec: ProblemSpec, v_size: int) -> int:
-    return math.comb(spec.a_size**spec.s_size + v_size - 1, v_size)
+def _policy_count(spec: ProblemSpec, v_size: int, repeats: bool = False) -> int:
+    n_cols = spec.a_size**spec.s_size
+    return math.comb(n_cols + v_size - 1 if repeats else n_cols, v_size)
+
+
+def _v_sizes(spec: ProblemSpec, config, repeats: bool = False) -> range:
+    """V sizes to enumerate: distinct columns run out at |A|^|S|."""
+    v_max = config.resolved_v_max(spec)
+    return range(1, (v_max if repeats else min(v_max, spec.a_size**spec.s_size)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +238,9 @@ class _Frontier:
     could improve any budget query survives to the exact merge.
     """
 
-    def __init__(self, cost_ceiling: float):
+    def __init__(self, cost_ceiling: float, grid_points: int, tile_dtype: str):
+        self.grid_points = grid_points
+        self.tile_dtype = tile_dtype
         self.cost = np.empty(0)
         self.obj = np.empty(0)
         self.v_size = np.empty(0, dtype=np.int64)
@@ -324,7 +348,8 @@ def _sweep_tiles(spec, policy, grid, causal, dtype, consume):
     n_axes = len(g_axes)
     k = g_axes[0].shape[1]
     n_prefix = n ** (n_axes - 1)
-    block = max(8, min(4096, (1 << 22) // max(1, n * k)))
+    # 16 MiB of tile per block, so float64 tiles hold half the elements
+    block = max(8, min(4096, (1 << 24) // max(1, n * k * np.dtype(dtype).itemsize)))
     g_last = g_axes[-1]
     inner_ids = np.arange(n, dtype=np.int64)
 
@@ -349,11 +374,11 @@ def _sweep_tiles(spec, policy, grid, causal, dtype, consume):
         consume(cost.reshape(-1), obj.reshape(-1), combos.reshape(-1))
 
 
-def _outer_count(spec, config, n_axes) -> int:
+def _outer_count(spec, config, n_axes, repeats: bool = False) -> int:
     """Policies times grid combos over every V size: the outer enumeration."""
     return sum(
-        _policy_count(spec, v) * _simplex_grid_size(v, config.grid_steps) ** n_axes
-        for v in range(1, config.resolved_v_max(spec) + 1)
+        _policy_count(spec, v, repeats) * _simplex_grid_size(v, config.grid_steps) ** n_axes
+        for v in _v_sizes(spec, config, repeats)
     )
 
 
@@ -363,8 +388,12 @@ def _run_sweep(spec, causal, config) -> _Frontier:
         raise SearchSpaceError(total, config.search_limit, "grid sweep")
     dtype = np.float32 if total > _F32_THRESHOLD else np.float64
     lam = reduced_cost(spec)
-    frontier = _Frontier(cost_ceiling=float(lam.max(initial=0.0)))
-    for v_size in range(1, config.resolved_v_max(spec) + 1):
+    frontier = _Frontier(
+        cost_ceiling=float(lam.max(initial=0.0)),
+        grid_points=total,
+        tile_dtype=np.dtype(dtype).name,
+    )
+    for v_size in _v_sizes(spec, config):
         grid = _simplex_grid(v_size, config.grid_steps)
         for policy_id, policy in enumerate(_policies(spec, v_size)):
 
@@ -390,7 +419,7 @@ def _cached_sweep(spec, causal, config) -> _Frontier:
         spec.fingerprint(),
         causal,
         config.grid_steps,
-        config.resolved_v_max(spec),
+        len(_v_sizes(spec, config)),
         config.search_limit,
     )
     hit = _SWEEP_CACHE.get(key)
@@ -504,6 +533,8 @@ def _solve_lossless(spec, budget, causal, config) -> RateCostPoint:
         "grid_steps": config.grid_steps,
         "refine_rounds": config.refine_rounds,
         "v_size_max": config.resolved_v_max(spec),
+        "grid_points": frontier.grid_points,
+        "tile_dtype": frontier.tile_dtype,
     }
     hit = frontier.query(budget)
     if hit is None:
@@ -599,7 +630,8 @@ def brute_force_oracle(
 ) -> RateCostPoint:
     """Plain dense-grid minimum: no refinement, no caching, no frontier.
 
-    Enumerates every policy (up to V relabeling, an exact symmetry) and
+    Enumerates every policy on exactly ``v_size`` symbols, repeated action
+    columns included (up to V relabeling, an exact symmetry), and
     every simplex grid point at resolution 1/dense_steps, filters by
     cost <= budget, and returns the smallest objective seen. Guarded by
     ``max_evals``; a larger request raises SearchSpaceError with the count.
@@ -617,14 +649,14 @@ def brute_force_oracle(
         v_size = spec.s_size + 2
     n_axes = 1 if causal else spec.s_size
     n = _simplex_grid_size(v_size, dense_steps)
-    total = _policy_count(spec, v_size) * (n**n_axes)
+    total = _policy_count(spec, v_size, repeats=True) * (n**n_axes)
     if total > max_evals:
         raise SearchSpaceError(total, max_evals, "oracle enumeration")
     grid = _simplex_grid(v_size, dense_steps)
     dtype = np.float32 if total > _F32_THRESHOLD else np.float64
     best = {"obj": np.inf, "policy_id": -1, "combo": -1}
 
-    for policy_id, policy in enumerate(_policies(spec, v_size)):
+    for policy_id, policy in enumerate(_policies(spec, v_size, repeats=True)):
 
         def consume(cost, obj, combos, _p=policy_id):
             feas = cost <= budget + _FEAS_EPS
@@ -642,7 +674,7 @@ def brute_force_oracle(
     if best["policy_id"] < 0:
         return RateCostPoint(budget=float(budget), rate=np.inf, cost=np.inf,
                              feasible=False, metadata=meta)
-    policy = _policies(spec, v_size)[best["policy_id"]]
+    policy = _policies(spec, v_size, repeats=True)[best["policy_id"]]
     rows = _combo_rows(grid, best["combo"], n_axes)
     value, cost = _eval_reference(spec, policy, rows, causal)
     return RateCostPoint(
@@ -823,7 +855,7 @@ def solve_lossy_causal(
             "capped_floor": np.inf}
     any_cost_feasible = False
 
-    for v_size in range(1, v_max + 1):
+    for v_size in _v_sizes(spec, config):
         grid = _simplex_grid(v_size, config.grid_steps)
         for policy in _policies(spec, v_size):
             cost_v = _column_costs(spec, policy)
@@ -925,15 +957,14 @@ def _entropy_nd(arr) -> float:
 
 def _noncausal_candidates(spec, config):
     """Yield (policy, rows, base p(z,v,y), I(V;S|Z), cost) for the outer grid."""
-    v_max = config.resolved_v_max(spec)
     p_s = spec.state_marginal
     lam = reduced_cost(spec)
     h_z = entropy_bits(spec.side_info_marginal)
-    for v_size in range(1, v_max + 1):
+    for v_size in _v_sizes(spec, config, repeats=True):
         grid = _simplex_grid(v_size, config.grid_steps)
         n = len(grid)
         h_rows = -xlogy(grid, grid).sum(axis=1) / _LN2
-        for policy in _policies(spec, v_size):
+        for policy in _policies(spec, v_size, repeats=True):
             t = spec.channel[policy, np.arange(spec.s_size)[:, None], :]
             for combo in range(n**spec.s_size):
                 rows = _combo_rows(grid, combo, spec.s_size)
@@ -986,7 +1017,7 @@ def evaluate_lossy_bounds(
     config = config or SolveConfig()
     v_max = config.resolved_v_max(spec)
     u_max = config.resolved_u_max(spec)
-    outer = _outer_count(spec, config, spec.s_size)
+    outer = _outer_count(spec, config, spec.s_size, repeats=True)
     u_inner = sum(
         _simplex_grid_size(u, config.grid_steps) ** spec.y_size
         for u in range(1, u_max + 1)

@@ -204,6 +204,21 @@ class TestAuxiliaryChoice:
         with pytest.raises(InvalidDistributionError):
             AuxiliaryChoice(policy=pol, v_given_s=np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    def test_rejects_non_finite_entries(self):
+        """A NaN row sums to NaN, which no `> tol` mass check catches; the
+        error must name the offending field."""
+        pol = ActionPolicy(np.array([[0, 1], [1, 0]]))
+        recon = np.zeros((2, 2, 1, 2))
+        recon[..., 0] = 1.0
+        recon[0, 1, 0] = [np.nan, 1.0]
+        for name, kwargs in (
+            ("v_marginal", {"v_marginal": np.array([np.nan, 1.0])}),
+            ("v_given_s", {"v_given_s": np.array([[0.5, 0.5], [np.nan, 1.0]])}),
+            ("recon", {"v_marginal": np.array([0.5, 0.5]), "recon": recon}),
+        ):
+            with pytest.raises(InvalidDistributionError, match=f"{name} .*finite"):
+                AuxiliaryChoice(policy=pol, **kwargs)
+
     def test_causal_flag_follows_storage(self):
         assert binary_timeshare_aux(0.5).causal
         assert not binary_structured_aux(0.5, 0.2).causal

@@ -5,9 +5,12 @@ search tolerances follow the documented accuracy model (about one grid
 step of slack, tightened by refinement).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from actrate import solver
 from actrate.binary import (
     bstar,
     make_binary_example,
@@ -22,6 +25,7 @@ from actrate.model import (
     causal_rate,
     expected_cost,
     noncausal_rate,
+    reduced_cost,
 )
 from actrate.solver import (
     DEFAULT_LAGRANGE_SWEEP,
@@ -186,6 +190,75 @@ class TestLosslessSolves:
         floor = 1.0 - binary_entropy(0.11)
         assert pt.rate >= floor - 1e-9
         assert pt.rate <= floor + 2e-2
+
+
+def box_spec(rng):
+    """A random instance with |S|, |A|, |Y| in {2, 3} and |Z| in {1, 2}."""
+    s, z, a, y = (int(rng.integers(lo, 4)) for lo in (2, 1, 2, 2))
+    sj = rng.random((s, z)) + 0.05
+    ch = rng.random((a, s, y)) + 0.05
+    return ProblemSpec(
+        state_joint=sj / sj.sum(),
+        channel=ch / ch.sum(axis=-1, keepdims=True),
+        cost=rng.random((a, s, y)),
+    )
+
+
+class TestDistinctColumns:
+    """The sweeps enumerate distinct action columns; the oracle keeps the
+    full multiset of columns."""
+
+    def test_counts_match_the_enumeration(self):
+        for spec in (make_binary_example(0.1), flat_spec()):
+            n_cols = spec.a_size**spec.s_size
+            for v in range(1, n_cols + 2):
+                for repeats in (False, True):
+                    tables = solver._policies(spec, v, repeats)
+                    assert solver._policy_count(spec, v, repeats) == len(tables)
+                distinct = solver._policies(spec, v)
+                assert all(len({tuple(c) for c in t.T}) == v for t in distinct)
+            assert solver._policy_count(spec, n_cols + 1) == 0
+
+    def test_sweep_guard_follows_the_distinct_count(self):
+        """At grid 15 the binary sweep has 741380 distinct-column points; the
+        multiset enumeration had 23677444, above this limit."""
+        spec = make_binary_example(0.1)
+        cfg = SolveConfig(grid_steps=15, refine_rounds=0, search_limit=2_000_000)
+        pt = solve_noncausal(spec, 0.2, cfg)
+        assert pt.feasible
+        with pytest.raises(SearchSpaceError) as err:
+            solve_noncausal(spec, 0.2, replace(cfg, search_limit=741_379))
+        assert err.value.required == 741_380
+
+    def test_metadata_reports_grid_points_and_tile_dtype(self, monkeypatch):
+        spec = make_binary_example(0.1)
+        cfg = SolveConfig(grid_steps=15, refine_rounds=0)
+        for solve, points in ((solve_noncausal, 741_380), (solve_causal, 1460)):
+            meta = solve(spec, 0.2, cfg).metadata
+            assert meta["grid_points"] == points
+            assert meta["tile_dtype"] == "float64"
+        monkeypatch.setattr(solver, "_F32_THRESHOLD", 1000)
+        # another search_limit keys a fresh sweep instead of the cached one
+        meta = solve_causal(spec, 0.2, replace(cfg, search_limit=10**6)).metadata
+        assert meta["tile_dtype"] == "float32"
+
+    def test_never_worse_than_the_full_enumeration(self):
+        """Merging repeated columns is exact, so the distinct-column solve at
+        |V| <= v never loses to the oracle's multiset enumeration at |V| = v
+        on the same grid."""
+        rng = np.random.default_rng(2012)
+        for _ in range(10):
+            spec = box_spec(rng)
+            lam = reduced_cost(spec)
+            lo, hi = spec.state_marginal @ lam.min(axis=1), spec.state_marginal @ lam.max(axis=1)
+            for v in ((2, 3) if spec.s_size == 2 else (2,)):
+                cfg = SolveConfig(grid_steps=4, refine_rounds=0, v_size_max=v)
+                for mode, solve in (("noncausal", solve_noncausal), ("causal", solve_causal)):
+                    for f in (0.1, 0.4, 0.8):
+                        b = float(lo + f * (hi - lo))
+                        full = brute_force_oracle(spec, b, mode, dense_steps=4, v_size=v)
+                        assert full.feasible
+                        assert solve(spec, b, cfg).rate <= full.rate + 1e-9
 
 
 class TestTraceCurve:
