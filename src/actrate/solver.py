@@ -98,6 +98,18 @@ DEFAULT_LAGRANGE_SWEEP = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 _BA_TOL = 1e-9
 _BA_MAX_ITER = 500
 
+# Multiplier bisection: _BISECT_STEPS halvings, solved _BISECT_DEPTH levels
+# (a subtree of 2**depth - 1 midpoints) per grouped Blahut call.
+_BISECT_STEPS = 60
+_BISECT_DEPTH = 6
+
+# Cell sets (policies, or bound candidates) per grouped Blahut call; bounds
+# the call's memory at about _CURVE_BATCH * cells * lambda_grid rows.
+_CURVE_BATCH = 256
+
+# Decoder-side description kernels are evaluated in stacks of this many.
+_KERNEL_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -208,10 +220,19 @@ def _policies(spec: ProblemSpec, v_size: int, repeats: bool = False) -> list[np.
     """
     cols = _action_columns(spec)
     pick = itertools.combinations_with_replacement if repeats else itertools.combinations
-    return [
-        np.ascontiguousarray(np.array([cols[c] for c in combo]).T)  # (s, v)
-        for combo in pick(range(len(cols)), v_size)
-    ]
+    return [_policy_table(cols, combo) for combo in pick(range(len(cols)), v_size)]
+
+
+def _policy(spec: ProblemSpec, v_size: int, policy_id: int) -> np.ndarray:
+    """``_policies(spec, v_size)[policy_id]``, without building the others."""
+    cols = _action_columns(spec)
+    combos = itertools.combinations(range(len(cols)), v_size)
+    return _policy_table(cols, next(itertools.islice(combos, policy_id, None)))
+
+
+def _policy_table(cols, combo) -> np.ndarray:
+    """The (s, v) policy table whose v-th column is ``cols[combo[v]]``."""
+    return np.ascontiguousarray(np.array([cols[c] for c in combo]).T)
 
 
 def _policy_count(spec: ProblemSpec, v_size: int, repeats: bool = False) -> int:
@@ -545,7 +566,7 @@ def _solve_lossless(spec, budget, causal, config) -> RateCostPoint:
         )
     _, _, v_size, policy_id, combo = hit
     grid = _simplex_grid(v_size, config.grid_steps)
-    policy = _policies(spec, v_size)[policy_id]
+    policy = _policy(spec, v_size, policy_id)
     n_axes = 1 if causal else spec.s_size
     rows = _combo_rows(grid, combo, n_axes)
 
@@ -688,43 +709,71 @@ def brute_force_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _ba_rd_lagrangian(p_y: np.ndarray, d: np.ndarray, beta: np.ndarray):
-    """Blahut iteration for min I(Y;Yhat) + beta * E[d], one problem per slope.
+def _ba_rd_lagrangian(p_y: np.ndarray, d: np.ndarray, beta: np.ndarray, group: np.ndarray):
+    """Grouped Blahut iteration for min I(Y;Yhat) + beta * E[d], one problem per row.
 
-    Vectorized over leading axes of ``p_y`` (..., y) and slopes ``beta``
-    (nats per distortion unit). Returns (rate_bits, distortion,
-    q_cond[..., y, yhat]); rate and distortion are recomputed exactly from
-    the final kernel, so they reproduce under re-evaluation.
+    ``p_y`` is (n, y), ``beta`` (n,) slopes in nats per distortion unit and
+    ``group`` (n,) integer ids in 0..G-1. The rows of a group stop together,
+    once every rate in the group moves by less than _BA_TOL bits between
+    updates (or after _BA_MAX_ITER updates), so each group's result equals
+    that of a call on its rows alone. A group that stops keeps its kernel
+    and leaves the active arrays, which are laid out (y, yhat, rows) so the
+    problem axis stays last and contiguous.
+
+    Returns (rate_bits, distortion, q_cond (n, y, yhat), iters (G,)), with
+    iters the number of updates each group ran; rate and distortion are
+    recomputed exactly from the final kernel, so they reproduce under
+    re-evaluation.
     """
-    lead = p_y.shape[:-1]
     yhat_size = d.shape[1]
-    w = np.exp(-beta[..., None, None] * d)  # (..., y, yhat)
-    q_out = np.full(lead + (yhat_size,), 1.0 / yhat_size)
-    p = p_y[..., None]
-    q_cond = np.broadcast_to(q_out[..., None, :], lead + d.shape)
+    p_all = np.ascontiguousarray(p_y.T)[:, None, :]  # (y, 1, n)
+    p = p_all
+    w = np.exp(-beta[None, None, :] * d[:, :, None])  # (y, yhat, n)
+    q_out = np.full((yhat_size, len(beta)), 1.0 / yhat_size)
+    q_final = np.empty(d.shape + (len(beta),))
+    iters = np.full(int(group.max()) + 1, _BA_MAX_ITER)
+    rows = np.arange(len(beta))
     prev_rate = None
-    for _ in range(_BA_MAX_ITER):
-        scores = q_out[..., None, :] * w
-        denom = scores.sum(axis=-1, keepdims=True)
-        np.clip(denom, 1e-300, None, out=denom)
-        q_cond = scores / denom
-        q_out = (p * q_cond).sum(axis=-2)
-        rate = _mi_of_kernel(p, q_cond, q_out)
-        if prev_rate is not None and np.all(np.abs(rate - prev_rate) < _BA_TOL):
-            break
-        prev_rate = rate
-    q_out = (p * q_cond).sum(axis=-2)
-    rate = _mi_of_kernel(p, q_cond, q_out)
-    dist = (p * q_cond * d).sum(axis=(-1, -2))
-    return rate, dist, q_cond
-
-
-def _mi_of_kernel(p, q_cond, q_out):
-    """Exact I(Y;Yhat) in bits for joint p(y) * q(yhat|y), given the marginal."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logterm = np.log(q_cond / q_out[..., None, :])
-    np.nan_to_num(logterm, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-    return np.maximum((p * q_cond * logterm).sum(axis=(-1, -2)) / _LN2, 0.0)
+        for it in range(1, _BA_MAX_ITER + 1):
+            scores = q_out[None, :, :] * w
+            denom = scores.sum(axis=1, keepdims=True)
+            np.maximum(denom, 1e-300, out=denom)
+            q_cond = scores / denom
+            joint = p * q_cond
+            q_out = joint.sum(axis=0)
+            rate = _mi_of_kernel(joint, q_cond, q_out)
+            if prev_rate is not None:
+                moving = np.zeros(len(iters), dtype=bool)
+                moving[group[~(np.abs(rate - prev_rate) < _BA_TOL)]] = True
+                stop = ~moving[group]
+                if np.any(stop):
+                    q_final[:, :, rows[stop]] = q_cond[:, :, stop]
+                    iters[group[stop]] = it
+                    keep = ~stop
+                    rows, group, rate = rows[keep], group[keep], rate[keep]
+                    # boolean indexing on the last axis returns F-ordered strides
+                    p, w, q_cond = (np.ascontiguousarray(a[:, :, keep]) for a in (p, w, q_cond))
+                    q_out = np.ascontiguousarray(q_out[:, keep])
+                    if not len(rows):
+                        break
+            prev_rate = rate
+        q_final[:, :, rows] = q_cond
+        joint = p_all * q_final
+        rate = _mi_of_kernel(joint, q_final, joint.sum(axis=0))
+    dist = (joint * d[:, :, None]).sum(axis=(0, 1))
+    return rate, dist, np.ascontiguousarray(np.moveaxis(q_final, 2, 0)), iters
+
+
+def _mi_of_kernel(joint, q_cond, q_out):
+    """Exact I(Y;Yhat) in bits per problem for joint = p(y) * q(yhat|y).
+
+    Arrays are laid out (y, yhat, n), with the marginal q_out as (yhat, n);
+    0 log 0 terms count as 0. The caller silences the 0/0 warnings.
+    """
+    logterm = np.log(q_cond / q_out[None, :, :])
+    logterm[~np.isfinite(logterm)] = 0.0
+    return np.maximum((joint * logterm).sum(axis=(0, 1)) / _LN2, 0.0)
 
 
 def _slopes(config) -> np.ndarray:
@@ -739,18 +788,33 @@ def _const_dist(cells, d_table) -> np.ndarray:
     return (cells[:, :, None] * d_table[None, :, :]).sum(1)
 
 
-def _cell_curves(cells, d_table, slopes):
-    """Per-cell (rate, distortion) at every slope, each of shape (cells, K).
+def _cell_curves(cell_sets, d_table, slopes):
+    """Per-cell (rate, distortion) at every slope, for a list of cell sets.
 
-    Column 0 holds the exact zero-rate anchor, the best constant
+    Grouped Blahut calls of up to _CURVE_BATCH sets: each set's cells x
+    slopes rows form one group and stop together, so a set's curves equal
+    those of a call on that set alone. Returns ([(rate_k, dist_k)] with
+    both of shape (cells, K), one pair per set, and the (sets,) iteration
+    counts). Column 0 holds the exact zero-rate anchor, the best constant
     reconstruction per cell, instead of the Blahut value at slope 0.
     """
-    rate_k, dist_k, _ = _ba_rd_lagrangian(
-        cells[:, None, :], d_table, np.broadcast_to(slopes, (len(cells), len(slopes)))
-    )
-    rate_k[:, 0] = 0.0
-    dist_k[:, 0] = _const_dist(cells, d_table).min(axis=1)
-    return rate_k, dist_k
+    k = len(slopes)
+    curves, iters = [], []
+    for start in range(0, len(cell_sets), _CURVE_BATCH):
+        batch = cell_sets[start:start + _CURVE_BATCH]
+        sizes = [len(c) for c in batch]
+        cells = np.concatenate(batch)
+        rate, dist, _, batch_iters = _ba_rd_lagrangian(
+            np.repeat(cells, k, axis=0), d_table, np.tile(slopes, len(cells)),
+            np.repeat(np.arange(len(sizes)), np.multiply(sizes, k)),
+        )
+        rate, dist = rate.reshape(-1, k), dist.reshape(-1, k)
+        rate[:, 0] = 0.0
+        dist[:, 0] = _const_dist(cells, d_table).min(axis=1)
+        cuts = np.cumsum(sizes)[:-1]
+        curves += zip(np.split(rate, cuts), np.split(dist, cuts))
+        iters.append(batch_iters)
+    return curves, np.concatenate(iters)
 
 
 def _mixture_rate(w, rate_k, dist_k, distortion_budget) -> float:
@@ -763,36 +827,63 @@ def _mixture_rate(w, rate_k, dist_k, distortion_budget) -> float:
 def _rd_bisect(cells, w, d_table, distortion_budget, config):
     """Exact common-multiplier bisection for the cell mixture ``w``.
 
-    Returns (rate, q) with q the (cells, y, yhat) reconstruction kernels.
-    The zero-rate anchor answers whenever a constant reconstruction per
-    cell already meets the distortion budget.
+    Returns (rate, q, calls): q holds the (cells, y, yhat) reconstruction
+    kernels and calls counts the Blahut calls made. The zero-rate anchor
+    answers, with no call, whenever a constant reconstruction per cell
+    already meets the distortion budget.
+
+    Otherwise _BISECT_STEPS halvings of [0, lambda_max] pick the least
+    multiplier that meets the budget. Each call solves a whole subtree: the
+    2**d - 1 midpoints that the next d = _BISECT_DEPTH halvings could visit,
+    each computed as 0.5 * (lo + hi) exactly as a serial loop would, one
+    group per midpoint. The descent then makes the serial comparisons, so
+    the result is that of serial bisection in 1 + _BISECT_STEPS / d calls.
     """
+    n_cells = len(cells)
     d0_cells = _const_dist(cells, d_table)
     best_const = d0_cells.argmin(axis=1)
-    if float(w @ d0_cells[np.arange(len(cells)), best_const]) <= distortion_budget + _FEAS_EPS:
-        q0 = np.zeros((len(cells),) + d_table.shape)
-        q0[np.arange(len(cells)), :, best_const] = 1.0
-        return 0.0, q0
+    if float(w @ d0_cells[np.arange(n_cells), best_const]) <= distortion_budget + _FEAS_EPS:
+        q0 = np.zeros((n_cells,) + d_table.shape)
+        q0[np.arange(n_cells), :, best_const] = 1.0
+        return 0.0, q0, 0
 
-    def solve_at(beta: float):
-        rate_c, dist_c, q = _ba_rd_lagrangian(cells, d_table, np.full(len(cells), beta))
-        return float(w @ rate_c), float(w @ dist_c), q
+    def solve_at(betas):
+        """Per-multiplier cell rates, distortions and kernels, one group each."""
+        rate_c, dist_c, q_c, _ = _ba_rd_lagrangian(
+            np.tile(cells, (len(betas), 1)), d_table, np.repeat(betas, n_cells),
+            np.repeat(np.arange(len(betas)), n_cells),
+        )
+        return (rate_c.reshape(len(betas), n_cells), dist_c.reshape(len(betas), n_cells),
+                q_c.reshape((len(betas), n_cells) + d_table.shape))
 
     beta_hi = config.lambda_max * _LN2
-    rate, dist, q = solve_at(beta_hi)
-    if dist > distortion_budget + 1e-9:
+    rate_c, dist_c, q_c = solve_at(np.array([beta_hi]))
+    if float(w @ dist_c[0]) > distortion_budget + 1e-9:
         raise IntegrityError(
             f"distortion {distortion_budget} unreachable at lambda_max={config.lambda_max}"
         )
+    rate, q, calls = float(w @ rate_c[0]), q_c[0], 1
     lo, hi = 0.0, beta_hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        rate_m, dist_m, q_m = solve_at(mid)
-        if dist_m <= distortion_budget + _FEAS_EPS:
-            hi, rate, q = mid, rate_m, q_m
-        else:
-            lo = mid
-    return rate, q
+    for done in range(0, _BISECT_STEPS, _BISECT_DEPTH):
+        depth = min(_BISECT_DEPTH, _BISECT_STEPS - done)
+        # heap order: node i halves spans[i]; child 2i+1 follows a feasible
+        # midpoint (hi = mid), child 2i+2 an infeasible one (lo = mid)
+        spans, mids = [(lo, hi)], []
+        for i in range(2**depth - 1):
+            a, b = spans[i]
+            mids.append(0.5 * (a + b))
+            spans += [(a, mids[i]), (mids[i], b)]
+        rate_c, dist_c, q_c = solve_at(np.array(mids))
+        calls += 1
+        node = 0
+        for _ in range(depth):
+            if float(w @ dist_c[node]) <= distortion_budget + _FEAS_EPS:
+                hi, rate, q = mids[node], float(w @ rate_c[node]), q_c[node]
+                node = 2 * node + 1
+            else:
+                lo = mids[node]
+                node = 2 * node + 2
+    return rate, q, calls
 
 
 def _lossy_cells(spec, policy) -> np.ndarray:
@@ -835,6 +926,11 @@ def solve_lossy_causal(
     anchor (best constant reconstruction per cell) handles the slope-0 end
     exactly. Infeasible (budget, distortion) pairs return a typed
     infeasible point rather than raising.
+
+    The metadata reports the inner work: ``blahut_iters`` (the most Blahut
+    updates any policy's cell curves took), ``blahut_capped`` (how many
+    policies ran all _BA_MAX_ITER updates) and ``bisect_calls`` (Blahut
+    calls of the final bisection, 0 when the zero-rate anchor answers).
     """
     _check_budgets(budget=budget, distortion_budget=distortion_budget)
     if spec.distortion is None:
@@ -854,19 +950,24 @@ def solve_lossy_causal(
     best = {"rate": np.inf, "policy": None, "rows": None, "curves": None,
             "capped_floor": np.inf}
     any_cost_feasible = False
+    blahut_iters, blahut_capped = 0, 0  # over the cell-curve groups (policies)
 
     for v_size in _v_sizes(spec, config):
         grid = _simplex_grid(v_size, config.grid_steps)
+        w = (grid[:, :, None] * p_z[None, None, :]).reshape(len(grid), -1)  # (n, cells)
+        todo = []  # cost-feasible policies, whose curves share Blahut calls
         for policy in _policies(spec, v_size):
             cost_v = _column_costs(spec, policy)
-            cand_cost = grid @ cost_v
-            feas_cost = cand_cost <= budget + _FEAS_EPS
-            if not np.any(feas_cost):
-                continue
-            any_cost_feasible = True
-            cells = _lossy_cells(spec, policy)
-            rate_k, dist_k = _cell_curves(cells, d_table, slopes)  # (cells, K)
-            w = (grid[:, :, None] * p_z[None, None, :]).reshape(len(grid), -1)  # (n, cells)
+            feas_cost = grid @ cost_v <= budget + _FEAS_EPS
+            if np.any(feas_cost):
+                todo.append((policy, cost_v, feas_cost, _lossy_cells(spec, policy)))
+        if not todo:
+            continue
+        any_cost_feasible = True
+        curves, iters = _cell_curves([t[3] for t in todo], d_table, slopes)
+        blahut_iters = max(blahut_iters, int(iters.max()))
+        blahut_capped += int(np.count_nonzero(iters >= _BA_MAX_ITER))
+        for (policy, cost_v, feas_cost, cells), (rate_k, dist_k) in zip(todo, curves):
             dists = w[feas_cost] @ dist_k  # (n_feas, K)
             rates = w[feas_cost] @ rate_k
             ok = dists <= distortion_budget + _FEAS_EPS
@@ -896,6 +997,7 @@ def solve_lossy_causal(
         "mode": "lossy-causal", "grid_steps": config.grid_steps,
         "refine_rounds": config.refine_rounds, "v_size_max": v_max,
         "lambda_max": config.lambda_max, "lambda_grid": config.lambda_grid,
+        "blahut_iters": blahut_iters, "blahut_capped": blahut_capped, "bisect_calls": 0,
     }
     if best["policy"] is None:
         meta["reason"] = (
@@ -923,7 +1025,7 @@ def solve_lossy_causal(
 
     rows, _, _ = _refine(best["rows"], budget, config, evaluate)
     r = rows[0]
-    value, q = _rd_bisect(
+    value, q, meta["bisect_calls"] = _rd_bisect(
         cells, (r[:, None] * p_z[None, :]).reshape(-1), d_table, distortion_budget, config
     )
     v_size = int(best["policy"].shape[1])
@@ -953,6 +1055,11 @@ def _cells_to_recon(q_cells, v_size, spec):
 
 def _entropy_nd(arr) -> float:
     return entropy_bits(np.asarray(arr).reshape(-1))
+
+
+def _entropies(stack) -> np.ndarray:
+    """Entropy in bits of each entry of a stack, summed as ``_entropy_nd`` does."""
+    return -xlogy(stack, stack).reshape(len(stack), -1).sum(axis=1) / _LN2
 
 
 def _noncausal_candidates(spec, config):
@@ -1039,21 +1146,32 @@ def evaluate_lossy_bounds(
         "si-decoder-v": (np.inf, None),
     }
     sib_winner = None  # (cells, weights, I(V;S|Z)) of the si-both incumbent
-    u_grids: dict[int, list[np.ndarray]] = {}
+    sib_batch = []  # buffered si-both candidates (cells, weights, I(V;S|Z), policy, rows)
+    u_stacks: dict[int, list[np.ndarray]] = {}
 
-    def u_kernels(n_rows: int):
-        """All row-stochastic (n_rows, u) kernels on the simplex grid."""
-        key = n_rows
-        if key not in u_grids:
-            kernels = []
+    def u_kernels(n_rows: int) -> list[np.ndarray]:
+        """All row-stochastic (n_rows, u) kernels on the simplex grid, as
+        (k, n_rows, u) stacks of at most _KERNEL_BLOCK, u size by u size."""
+        if n_rows not in u_stacks:
+            stacks = []
             for u_size in range(1, u_max + 1):
                 g = _simplex_grid(u_size, config.grid_steps)
-                for combo in itertools.product(range(len(g)), repeat=n_rows):
-                    kernels.append(np.array([g[i] for i in combo]))
-            u_grids[key] = kernels
-        return u_grids[key]
+                combos = np.array(list(itertools.product(range(len(g)), repeat=n_rows)))
+                stacks += [g[combos[i:i + _KERNEL_BLOCK]]
+                           for i in range(0, len(combos), _KERNEL_BLOCK)]
+            u_stacks[n_rows] = stacks
+        return u_stacks[n_rows]
 
-    p_z = spec.side_info_marginal
+    def flush_si_both():
+        """Evaluate the buffered si-both candidates, in order, in one call."""
+        nonlocal sib_winner
+        curves, _ = _cell_curves([c[0] for c in sib_batch], d_table, slopes)
+        for (cells, w, i_vs_z, policy, rows), (rate_k, dist_k) in zip(sib_batch, curves):
+            val = i_vs_z + _mixture_rate(w, rate_k, dist_k, distortion_budget)
+            if val < best["si-both"][0]:
+                best["si-both"] = (val, _make_aux(policy, rows, False))
+                sib_winner = (cells, w, i_vs_z)
+        sib_batch.clear()
 
     for policy, rows, p_zvy, i_vs_z, cost in _noncausal_candidates(spec, config):
         if cost > budget + _FEAS_EPS:
@@ -1067,24 +1185,18 @@ def evaluate_lossy_bounds(
                 / np.where(p_vz.reshape(-1) == 0.0, 1.0, p_vz.reshape(-1))[:, None],
                 0.0,
             )
-        w = p_vz.reshape(-1)
 
         # si-both: per-cell reconstruction with a shared multiplier grid
-        rate_k, dist_k = _cell_curves(p_y_cells, d_table, slopes)
-        val = i_vs_z + _mixture_rate(w, rate_k, dist_k, distortion_budget)
-        if val < best["si-both"][0]:
-            best["si-both"] = (val, _make_aux(policy, rows, False))
-            sib_winner = (p_y_cells, w, i_vs_z)
+        sib_batch.append((p_y_cells, p_vz.reshape(-1), i_vs_z, policy, rows))
+        if len(sib_batch) == _CURVE_BATCH:
+            flush_si_both()
 
         # decoder-side descriptions
         p_vy = p_zvy.sum(axis=0)  # (v, y)
         p_y = p_vy.sum(axis=0)
         for u_k in u_kernels(spec.y_size):
-            bound_u = _decoder_bound(
-                spec, p_zvy, p_z, u_k[None, :, :].repeat(v_size, axis=0),
-                i_vs_z, d_table, distortion_budget,
-            )
-            if bound_u is not None and bound_u < best["si-decoder"][0]:
+            bound_u = _decoder_bound(p_zvy, u_k[:, None], i_vs_z, d_table, distortion_budget)
+            if bound_u < best["si-decoder"][0]:
                 best["si-decoder"] = (bound_u, _make_aux(policy, rows, False))
 
         # v-aware: u kernel may differ per v; feasibility I(V;S) <= I(V;Y)
@@ -1095,12 +1207,12 @@ def evaluate_lossy_bounds(
         i_vy = max(0.0, h_v + _entropy_nd(p_y) - _entropy_nd(p_vy))
         if i_vs <= i_vy + 1e-10:
             for u_k in u_kernels(spec.y_size * v_size):
-                kern = u_k.reshape(v_size, spec.y_size, -1)
-                bound_uv = _decoder_bound(
-                    spec, p_zvy, p_z, kern, i_vs_z, d_table, distortion_budget
-                )
-                if bound_uv is not None and bound_uv < best["si-decoder-v"][0]:
+                kern = u_k.reshape(len(u_k), v_size, spec.y_size, -1)
+                bound_uv = _decoder_bound(p_zvy, kern, i_vs_z, d_table, distortion_budget)
+                if bound_uv < best["si-decoder-v"][0]:
                     best["si-decoder-v"] = (bound_uv, _make_aux(policy, rows, False))
+    if sib_batch:
+        flush_si_both()
 
     # the shared multiplier grid is coarse; re-solve the winning candidate's
     # inner problem by exact bisection, as the lossy solver does
@@ -1125,23 +1237,23 @@ def evaluate_lossy_bounds(
     return out
 
 
-def _decoder_bound(spec, p_zvy, p_z, u_kern_vyu, i_vs_z, d_table, distortion_budget):
-    """I(V;S|Z) + I(U;Y|V,Z) for one description kernel, or None if infeasible.
+def _decoder_bound(p_zvy, u_kern, i_vs_z, d_table, distortion_budget) -> float:
+    """Least I(V;S|Z) + I(U;Y|V,Z) over a stack of description kernels, or
+    inf if no kernel meets the distortion budget.
 
-    ``u_kern_vyu`` has shape (v, y, u): the per-v description law (rows
-    repeat over v for the U-from-Y-alone scheme). Reconstruction is the
-    per-(z, u) distortion argmin.
+    ``u_kern`` has shape (k, v, y, u): k per-v description laws; a v axis of
+    length 1 shares one law across v (the U-from-Y-alone scheme).
+    Reconstruction is the per-(z, u) distortion argmin.
     """
-    p_zvyu = p_zvy[:, :, :, None] * u_kern_vyu[None, :, :, :]  # (z, v, y, u)
-    h_u_vz = _entropy_nd(p_zvyu.sum(axis=2)) - _entropy_nd(p_zvyu.sum(axis=(2, 3)))
-    h_u_yvz = _entropy_nd(p_zvyu) - _entropy_nd(p_zvy)
-    i_uy_vz = max(0.0, h_u_vz - h_u_yvz)
+    p = p_zvy[None, :, :, :, None] * u_kern[:, None]  # (k, z, v, y, u)
+    h_u_vz = _entropies(p.sum(axis=3)) - _entropies(p.sum(axis=(3, 4)))
+    h_u_yvz = _entropies(p) - _entropy_nd(p_zvy)
+    i_uy_vz = np.maximum(0.0, h_u_vz - h_u_yvz)
     # distortion of the best deterministic map yhat(z, u)
-    p_zuy = p_zvyu.sum(axis=1).transpose(0, 2, 1)  # (z, u, y)
-    d_zu = np.einsum("zuy,yh->zuh", p_zuy, d_table).min(axis=2).sum()
-    if d_zu > distortion_budget + _FEAS_EPS:
-        return None
-    return i_vs_z + i_uy_vz
+    p_zuy = p.sum(axis=2).transpose(0, 1, 3, 2)  # (k, z, u, y)
+    d_zu = np.einsum("kzuy,yh->kzuh", p_zuy, d_table).min(axis=3)
+    feasible = ~(d_zu.reshape(len(p), -1).sum(axis=1) > distortion_budget + _FEAS_EPS)
+    return i_vs_z + float(i_uy_vz[feasible].min()) if np.any(feasible) else np.inf
 
 
 # ---------------------------------------------------------------------------

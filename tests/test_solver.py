@@ -217,6 +217,8 @@ class TestDistinctColumns:
                     assert solver._policy_count(spec, v, repeats) == len(tables)
                 distinct = solver._policies(spec, v)
                 assert all(len({tuple(c) for c in t.T}) == v for t in distinct)
+                assert all(np.array_equal(solver._policy(spec, v, i), t)
+                           for i, t in enumerate(distinct))
             assert solver._policy_count(spec, n_cols + 1) == 0
 
     def test_sweep_guard_follows_the_distinct_count(self):
