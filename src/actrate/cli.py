@@ -554,7 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--epsilon", type=float, default=0.15)
     p_sim.add_argument("--trials", type=int, default=200)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--ceiling", type=int, default=1 << 20)
+    p_sim.add_argument(
+        "--ceiling", type=int, default=1 << 20,
+        help="largest |Y|^n hash scan or codebook one trial may enumerate",
+    )
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 

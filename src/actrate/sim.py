@@ -26,16 +26,24 @@ criterion; small probability cells can make the typical set empty unless
 epsilon is generous, and the interesting regimes here are exactly the
 short blocks, so choose epsilon against the smallest cell of the joint.
 
-Decoders scan the full output-sequence space (|Y|^n entries), so runs are
-guarded by ``ceiling``; larger spaces refuse with SearchSpaceError rather
-than thrash. Binning uses a splitmix64 hash of the sequence index salted
-per trial, so bins are reproducible from the seed alone. Every trial
+Binning uses a splitmix64 hash of the sequence index salted per trial, so
+bins are reproducible from the seed alone. The binning and timeshare
+decoders hash every index of the |Y|^n output-sequence space in fixed
+blocks and expand only the members of the received bin to symbol rows, so
+their cost is |Y|^n hashes. The covering rank is counted, not enumerated:
+the typical set given a codeword factors over the codeword's symbols, and
+the number of typical sequences below y in canonical order is a sum of
+products of multinomial counts (enumerative coding within a type class,
+Cover 1973), so covering costs polynomial time in n. ``ceiling`` bounds
+what a trial enumerates: the |Y|^n hash scan and the codebook rows; larger
+requests refuse with SearchSpaceError rather than thrash. Every trial
 re-draws state, codebook, binning, and channel noise; trial seeds are
 spawned from one SeedSequence, so campaigns are reproducible end to end
 and individual trials can be replayed in isolation.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -58,6 +66,8 @@ _U64 = np.uint64
 _SPLITMIX_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = _U64(0xBF58476D1CE4E5B9)
 _SPLITMIX_M2 = _U64(0x94D049BB133111EB)
+_HASH_BLOCK = 1 << 15  # indices per block of the bin scan
+_PAIR_BLOCK = 1 << 20  # array entries per block of a typicality test
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,10 @@ class SimConfig:
     ``rate`` is the bin-index rate in bits per symbol (binning and
     timeshare modes; the bin count is 2^ceil(n * rate)).
     ``codebook_rate_v`` sizes the v codebook the same way (binning and
-    covering). ``ceiling`` bounds the |Y|^n sequence space a decoder may
-    scan.
+    covering). ``ceiling`` bounds what one trial enumerates: the |Y|^n
+    sequences the binning and timeshare decoders hash, and the codebook
+    rows of the binning and covering modes. The covering rank is counted,
+    so covering is not bounded by |Y|^n.
     """
 
     n: int
@@ -156,35 +168,157 @@ def is_jointly_typical(sequences, joint: np.ndarray, epsilon: float) -> bool:
     )
 
 
-def _typical_rows(cells: np.ndarray, n: int, flat_joint: np.ndarray,
-                  epsilon: float) -> np.ndarray:
-    """Row mask of robust typicality for per-row cell-index sequences.
+def _count_window(joint: np.ndarray, n: int, epsilon: float):
+    """Per-cell (lo, hi) bounds of the tuple counts k that are typical.
 
-    ``cells`` is (rows, n) of flattened tuple indices into ``flat_joint``.
+    The robust test |k/n - p| <= epsilon * p is evaluated in float64 for
+    every k = 0..n, exactly as ``is_jointly_typical`` evaluates it. Its
+    left side falls and then rises in k (k/n - p is monotone in k even when
+    rounded), so the passing counts form the interval [lo, hi]; a cell that
+    no count passes gets lo = n + 1, hi = -1.
     """
-    rows, k = cells.shape[0], flat_joint.size
-    offsets = np.arange(rows, dtype=np.int64) * k
-    counts = np.bincount(
-        (cells + offsets[:, None]).reshape(-1), minlength=rows * k
-    ).reshape(rows, k)
-    return np.all(
-        np.abs(counts / n - flat_joint[None, :]) <= epsilon * flat_joint[None, :],
-        axis=1,
-    )
+    k = np.arange(n + 1, dtype=np.int64)
+    p = joint[..., None]
+    ok = np.abs(k / n - p) <= epsilon * p
+    some = ok.any(axis=-1)
+    lo = np.where(some, ok.argmax(axis=-1), n + 1)
+    hi = np.where(some, n - ok[..., ::-1].argmax(axis=-1), -1)
+    return lo, hi
+
+
+def _typical_pairs(rows: np.ndarray, others: np.ndarray, joint: np.ndarray,
+                   epsilon: float) -> np.ndarray:
+    """(len(rows), len(others)) mask of robust joint typicality.
+
+    ``rows`` is (r, n) of symbols on axis 0 of the 2-axis ``joint``,
+    ``others`` is (m, n) of symbols on its axis 1. Tuple counts come from a
+    product of one-hot tables, exact in float32 below 2^24, and are checked
+    against ``_count_window``, so the test is ``is_jointly_typical``'s bit
+    for bit. Rows are taken in blocks whose one-hot table and counts hold
+    about ``_PAIR_BLOCK`` entries.
+    """
+    n = rows.shape[1]
+    v_size, k_size = joint.shape
+    dtype = np.float32 if n < 1 << 24 else np.float64
+    lo, hi = (b[:, None, :, None].astype(dtype)
+              for b in _count_window(joint, n, epsilon))
+    # (n, k * m) letter-major one-hot of ``others``; the counts then come
+    # out (v, row, k, other), so the test reduces over whole slabs
+    hot = others[None, :, :] == np.arange(k_size)[:, None, None]
+    hot = hot.transpose(2, 0, 1).reshape(n, -1).astype(dtype)
+    out = np.empty((len(rows), len(others)), dtype=bool)
+    step = max(1, _PAIR_BLOCK // (v_size * (n + hot.shape[1])))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        rows_hot = block[None, :, :] == np.arange(v_size)[:, None, None]
+        counts = (rows_hot.reshape(-1, n).astype(dtype) @ hot).reshape(
+            v_size, len(block), k_size, len(others)
+        )
+        out[start:start + step] = np.all((counts >= lo) & (counts <= hi), axis=(0, 2))
+    return out
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + _SPLITMIX_GAMMA).astype(_U64)
-    x = ((x ^ (x >> _U64(30))) * _SPLITMIX_M1).astype(_U64)
-    x = ((x ^ (x >> _U64(27))) * _SPLITMIX_M2).astype(_U64)
-    return x ^ (x >> _U64(31))
+    """splitmix64 finaliser of a uint64 array, as a new array (wraps mod 2^64)."""
+    x = np.asarray(x, dtype=_U64) + _SPLITMIX_GAMMA
+    x ^= x >> _U64(30)
+    x *= _SPLITMIX_M1
+    x ^= x >> _U64(27)
+    x *= _SPLITMIX_M2
+    x ^= x >> _U64(31)
+    return x
 
 
-def _all_sequences(alphabet: int, n: int) -> np.ndarray:
-    """(alphabet^n, n) symbol matrix; row index is the canonical order."""
-    idx = np.arange(alphabet**n, dtype=np.int64)
-    place = alphabet ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // place[None, :]) % alphabet
+def _bin_members(n_seq: int, salt, n_bins: int, target) -> np.ndarray:
+    """Ascending indices i < n_seq with splitmix64(i ^ salt) in bin ``target``.
+
+    ``n_bins`` is a power of two, so a bin is the hash's low bits. The index
+    range is hashed in blocks of ``_HASH_BLOCK``, so memory stays flat in
+    n_seq.
+    """
+    mask = _U64(n_bins - 1)
+    found = []
+    for start in range(0, n_seq, _HASH_BLOCK):
+        block = np.arange(start, min(start + _HASH_BLOCK, n_seq), dtype=_U64)
+        block ^= salt
+        hashed = _splitmix64(block)
+        hashed &= mask
+        found.append(np.flatnonzero(hashed == target) + start)
+    return np.concatenate(found)
+
+
+def _size_bits(n: int, rate: float, what: str, max_bits: int | None = None) -> int:
+    """ceil(n * rate): the base-2 exponent of a table of 2^(n * rate) entries."""
+    bits = n * rate
+    if not math.isfinite(bits):
+        raise DomainError(f"{what} = {rate!r} gives a non-finite table size at n = {n}")
+    bits = int(np.ceil(bits))
+    if max_bits is not None and bits > max_bits:
+        raise DomainError(
+            f"{what} = {rate!r} at n = {n} needs 2^{bits} entries; "
+            f"64-bit indices allow at most 2^{max_bits}"
+        )
+    return bits
+
+
+class _TypicalCounter:
+    """Exact counts over the sequences y typical with a fixed codeword vhat.
+
+    Tuple (v, y) may occur lo[v][y]..hi[v][y] times (``_count_window`` of
+    the (v, y) joint), so membership agrees with ``_typical_pairs`` bit for
+    bit. Typicality constrains each codeword symbol's positions separately,
+    so every count is a product over v of completion counts: multinomial
+    sums over the allowed final counts. Python ints keep them exact at any n.
+    """
+
+    def __init__(self, p_vy: np.ndarray, n: int, epsilon: float):
+        self.lo, self.hi = (b.tolist() for b in _count_window(p_vy, n, epsilon))
+        self._memo = {}
+
+    def completions(self, v: int, counts: tuple, left: int) -> int:
+        """Ways to fill ``left`` more positions of symbol v, given its tuple
+        counts so far, so that every final count is allowed."""
+        key = (v, counts, left)
+        found = self._memo.get(key)
+        if found is None:
+            lo, hi = self.lo[v], self.hi[v]
+            # ways[s]: fillings of s labelled positions by the letters so far;
+            # the last letter needs only s = left
+            ways = [int(lo[0] <= counts[0] + s <= hi[0]) for s in range(left + 1)]
+            for y in range(1, len(counts)):
+                least, most = lo[y] - counts[y], hi[y] - counts[y]
+                sizes = range(left + 1) if y < len(counts) - 1 else (left,)
+                ways = [
+                    sum(ways[s - j] * math.comb(s, j)
+                        for j in range(max(least, 0), min(most, s) + 1))
+                    for s in sizes
+                ]
+            found = self._memo[key] = ways[-1]
+        return found
+
+    def rank(self, vhat: np.ndarray, y_seq: np.ndarray) -> tuple[bool, int]:
+        """(y typical with vhat, count of such sequences before y).
+
+        The order is the canonical one (position 0 most significant): the
+        rank sums, over positions t and letters b < y_t, the typical
+        sequences that share y's first t letters and have b at t.
+        """
+        v_size, y_size = len(self.lo), len(self.lo[0])
+        left = np.bincount(vhat, minlength=v_size).tolist()
+        counts = [(0,) * y_size] * v_size
+        ways = [self.completions(v, counts[v], left[v]) for v in range(v_size)]
+        rank = 0
+        for v, y in zip(vhat.tolist(), y_seq.tolist()):
+            left[v] -= 1
+            others = math.prod(ways[:v] + ways[v + 1:])
+            c = counts[v]
+            if others:
+                for b in range(y):
+                    bumped = c[:b] + (c[b] + 1,) + c[b + 1:]
+                    rank += others * self.completions(v, bumped, left[v])
+            counts[v] = c[:y] + (c[y] + 1,) + c[y + 1:]
+            ways[v] = self.completions(v, counts[v], left[v])
+        return all(ways), rank
 
 
 def _sample_rows(rng, kernel_rows: np.ndarray, row_idx: np.ndarray) -> np.ndarray:
@@ -200,10 +334,12 @@ class _Campaign:
 
     def __init__(self, spec: ProblemSpec, aux: AuxiliaryChoice, config: SimConfig):
         aux.policy.check_against(spec)
-        n_seq = spec.y_size**config.n
-        if n_seq > config.ceiling:
+        n = config.n
+        hashed = config.mode in ("binning", "timeshare")
+        self.n_seq = spec.y_size**n
+        if hashed and self.n_seq > config.ceiling:
             raise SearchSpaceError(
-                n_seq, config.ceiling, f"output sequence space |Y|^{config.n}"
+                self.n_seq, config.ceiling, f"output sequence space |Y|^{n}"
             )
         if config.mode == "covering" and spec.z_size != 1:
             raise UsageError("covering mode needs trivial side information (|Z| = 1)")
@@ -226,22 +362,28 @@ class _Campaign:
                 for v in range(self.v_size)
             )
         )
-        self.seqs_y = _all_sequences(spec.y_size, config.n)
         self.state_flat = spec.state_joint.reshape(-1)
-        if config.mode in ("binning", "timeshare"):
-            self.n_bins = 1 << int(np.ceil(config.n * config.rate))
-        else:
-            self.n_bins = None
+        self.n_bins = self.codebook_size = self.rank_capacity = None
+        if hashed:
+            self.n_bins = 1 << _size_bits(n, config.rate, "rate", max_bits=63)
+            # symbol weights of the canonical order: index = y @ place
+            self.place = spec.y_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
         if config.mode in ("binning", "covering"):
-            self.codebook_size = 1 << int(np.ceil(config.n * config.codebook_rate_v))
-        else:
-            self.codebook_size = None
-        if config.mode == "covering":
-            self.rank_capacity = 1 << int(
-                np.ceil(config.n * (self.h_y_given_v + config.epsilon))
+            self.codebook_bits = _size_bits(
+                n, config.codebook_rate_v, "codebook_rate_v", max_bits=63
             )
-        else:
-            self.rank_capacity = None
+            self.codebook_size = 1 << self.codebook_bits
+            if self.codebook_size > config.ceiling:
+                raise SearchSpaceError(
+                    self.codebook_size, config.ceiling,
+                    f"codebook of 2^{self.codebook_bits} rows",
+                )
+        if config.mode == "covering":
+            self.rank_bits = _size_bits(
+                n, self.h_y_given_v + config.epsilon, "H(Y|V) + epsilon"
+            )
+            self.rank_capacity = 1 << self.rank_bits
+            self.typical = _TypicalCounter(self.p_vy, n, config.epsilon)
 
     def draw_state(self, rng):
         idx = rng.choice(
@@ -259,11 +401,9 @@ class _Campaign:
 
     def cover_state(self, rng, codebook, s_seq):
         """Uniform pick among codewords typical with the state sequence."""
-        cells = codebook * self.spec.s_size + s_seq[None, :]
-        mask = _typical_rows(
-            cells, self.config.n, self.p_vs.reshape(-1), self.config.epsilon
-        )
-        hits = np.flatnonzero(mask)
+        mask = _typical_pairs(codebook, s_seq[None, :], self.p_vs,
+                              self.config.epsilon)
+        hits = np.flatnonzero(mask[:, 0])
         if not len(hits):
             # no typical codeword: pick a random index and press on anyway
             return int(rng.integers(len(codebook))), True
@@ -274,21 +414,16 @@ class _Campaign:
         salt = (_U64(rng.integers(0, 1 << 32)) << _U64(32)) | _U64(
             rng.integers(0, 1 << 32)
         )
-        bins = _splitmix64(np.arange(len(self.seqs_y), dtype=_U64) ^ salt) % _U64(
-            self.n_bins
+        y_index = int(y_seq @ self.place)
+        y_bin = _splitmix64(np.array([y_index], dtype=_U64) ^ salt)[0] & _U64(
+            self.n_bins - 1
         )
-        y_index = int(np.ravel_multi_index(y_seq, (self.spec.y_size,) * self.config.n))
-        in_bin = np.flatnonzero(bins == bins[y_index])
-        cand = self.seqs_y[in_bin]
-        accepted = np.zeros(len(in_bin), dtype=bool)
-        zy_base = z_seq[None, :] * self.spec.y_size + cand  # (cand, n) of z*Y + y
-        for codeword in codebook:
-            cells = codeword[None, :] * (self.spec.z_size * self.spec.y_size) + zy_base
-            accepted |= _typical_rows(
-                cells, self.config.n, self.p_vzy.reshape(-1), self.config.epsilon
-            )
-            if accepted.all():
-                break
+        in_bin = _bin_members(self.n_seq, salt, self.n_bins, y_bin)
+        cand = (in_bin[:, None] // self.place[None, :]) % self.spec.y_size
+        zy = z_seq[None, :] * self.spec.y_size + cand  # (cand, n) of z*Y + y
+        accepted = _typical_pairs(
+            codebook, zy, self.p_vzy.reshape(self.v_size, -1), self.config.epsilon
+        ).any(axis=0)
         return in_bin[accepted], y_index
 
 
@@ -335,10 +470,8 @@ def _run_covering_trial(camp: _Campaign, rng) -> TrialOutcome:
     _, y_seq, cost = camp.act_and_transmit(rng, s_seq, codebook[pick])
     # describe y: a codeword typical with it, then y's rank inside that
     # codeword's conditional typical set (canonical sequence order)
-    cells = codebook * camp.spec.y_size + y_seq[None, :]
-    mask = _typical_rows(cells, camp.config.n, camp.p_vy.reshape(-1),
-                         camp.config.epsilon)
-    hits = np.flatnonzero(mask)
+    mask = _typical_pairs(codebook, y_seq[None, :], camp.p_vy, camp.config.epsilon)
+    hits = np.flatnonzero(mask[:, 0])
     if not len(hits):
         bucket = "encoder-covering-failure" if failed else "decoder-none"
         return TrialOutcome(False, bucket, cost, covering_failed=failed,
@@ -346,17 +479,12 @@ def _run_covering_trial(camp: _Campaign, rng) -> TrialOutcome:
     vhat_idx = int(rng.choice(hits))
     vhat = codebook[vhat_idx]
     mismatch = not np.array_equal(vhat, codebook[pick])
-    cond_cells = vhat[None, :] * camp.spec.y_size + camp.seqs_y
-    cond_mask = _typical_rows(cond_cells, camp.config.n, camp.p_vy.reshape(-1),
-                              camp.config.epsilon)
-    members = np.flatnonzero(cond_mask)
-    y_index = int(np.ravel_multi_index(y_seq, (camp.spec.y_size,) * camp.config.n))
-    rank = int(np.searchsorted(members, y_index))
+    typical, rank = camp.typical.rank(vhat, y_seq)
     if rank >= camp.rank_capacity:
         bucket = "encoder-covering-failure" if failed else "decoder-ambiguous"
         return TrialOutcome(False, bucket, cost, covering_failed=failed,
                             vhat_mismatch=mismatch)
-    success = int(members[rank]) == y_index
+    success = typical
     bucket = None if success else (
         "encoder-covering-failure" if failed else "decoder-none"
     )
@@ -390,9 +518,7 @@ def run_campaign(
         breakdown[o.bucket] += 1
     costs = np.array([o.cost for o in outcomes])
     if config.mode == "covering":
-        eff_rate = (
-            np.log2(camp.codebook_size) + np.log2(camp.rank_capacity)
-        ) / config.n
+        eff_rate = (camp.codebook_bits + camp.rank_bits) / config.n
         flagged = [o for o in outcomes if o.vhat_mismatch is not None]
         mismatched = [o for o in flagged if o.vhat_mismatch]
         mismatch_rate = len(mismatched) / len(flagged) if flagged else 0.0
