@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the generic grid solver against the binary closed forms."""
+"""Check the generic solvers against the binary closed forms."""
 
 import argparse
 import time
@@ -11,8 +11,8 @@ from actrate.solver import SolveConfig, solve_causal, solve_noncausal
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=float, default=0.1, help="channel noise level")
-    ap.add_argument("--grid", type=int, default=16, help="probability grid steps")
-    ap.add_argument("--refine", type=int, default=3, help="local refinement rounds")
+    ap.add_argument("--grid", type=int, default=16, help="probability grid steps (foresight only)")
+    ap.add_argument("--refine", type=int, default=3, help="local refinement rounds (foresight only)")
     ap.add_argument("--vmax", type=int, default=3, help="auxiliary alphabet cap")
     args = ap.parse_args()
 
@@ -37,8 +37,9 @@ def main():
     print()
     print(f"worst |gap| = {worst:.3g} in {time.perf_counter() - t0:.1f}s "
           f"(grid={args.grid}, refine={args.refine}, vmax={args.vmax})")
-    print("the gap is one-sided: the solver searches a finite strategy grid,")
-    print("so it can only land above the true curve.")
+    print("the foresight gap is one-sided: that solver searches a finite strategy")
+    print("grid, so it can only land above the true curve. The committed solver")
+    print("reads the exact convex hull of the action columns.")
 
 
 if __name__ == "__main__":

@@ -519,8 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="'lo:hi:step' or comma list, strictly increasing",
     )
     p_curve.add_argument("--distortion", type=float, default=None)
-    p_curve.add_argument("--grid", type=int, default=32)
-    p_curve.add_argument("--refine", type=int, default=3)
+    p_curve.add_argument("--grid", type=int, default=32,
+                         help="probability grid steps (noncausal and bounds modes)")
+    p_curve.add_argument("--refine", type=int, default=3,
+                         help="local refinement rounds (noncausal mode)")
     p_curve.add_argument("--vmax", type=int, default=None)
     p_curve.add_argument("--umax", type=int, default=None)
     p_curve.add_argument("--out", default=None, help="output file (default stdout)")

@@ -99,8 +99,8 @@ class SimConfig:
             raise UsageError("n must be >= 1")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
-        if self.epsilon <= 0.0:
-            raise DomainError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise DomainError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.mode in ("binning", "timeshare"):
             if self.rate is None or self.rate <= 0.0:
                 raise UsageError(f"{self.mode} mode needs a positive rate")
@@ -479,17 +479,14 @@ def _run_covering_trial(camp: _Campaign, rng) -> TrialOutcome:
     vhat_idx = int(rng.choice(hits))
     vhat = codebook[vhat_idx]
     mismatch = not np.array_equal(vhat, codebook[pick])
-    typical, rank = camp.typical.rank(vhat, y_seq)
+    # vhat is typical with y by construction (``hits``), so only the rank
+    # channel's capacity can fail here
+    _, rank = camp.typical.rank(vhat, y_seq)
     if rank >= camp.rank_capacity:
         bucket = "encoder-covering-failure" if failed else "decoder-ambiguous"
         return TrialOutcome(False, bucket, cost, covering_failed=failed,
                             vhat_mismatch=mismatch)
-    success = typical
-    bucket = None if success else (
-        "encoder-covering-failure" if failed else "decoder-none"
-    )
-    return TrialOutcome(success, bucket, cost, covering_failed=failed,
-                        vhat_mismatch=mismatch)
+    return TrialOutcome(True, None, cost, covering_failed=failed, vhat_mismatch=mismatch)
 
 
 _TRIAL_RUNNERS = {

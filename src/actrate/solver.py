@@ -1,7 +1,14 @@
-"""Global grid search for rate-cost and rate-distortion-cost functions.
+"""Rate-cost and rate-distortion-cost functions on small alphabets.
 
-The objectives are not jointly convex in the auxiliary distribution, so the
-solver does a certifiable enumeration instead of descent:
+The causal patterns are solved exactly: V is committed before the states
+arrive, so every per-v quantity depends only on v's action column (a map
+S -> A). ``solve_causal`` reads the lower convex hull of the column points
+(c_j, H(Y|Z) under j) at the budget; ``solve_lossy_causal`` mixes the
+columns' rate-distortion curves and finishes the mix by exact multiplier
+bisection. Neither uses ``grid_steps`` or ``refine_rounds``.
+
+The non-causal objective is not jointly convex in p(v|s), so
+``solve_noncausal`` does a certifiable enumeration instead of descent:
 
   * every deterministic action policy a = f(s, v) with distinct per-v
     action columns f(., v) is enumerated, up to relabeling of the V
@@ -10,43 +17,46 @@ solver does a certifiable enumeration instead of descent:
     that repeats a column is never better than the one that merges the two
     symbols: summing their p(v|s) entries keeps the cost, never raises
     H(V,Y|Z) - H(V|S) because V - (S, V') - (Y, Z), and lands on the same
-    grid with one symbol fewer, which the sweep visits too. In the causal
-    patterns identical columns give identical (v, z) cells, so nothing
-    changes there either. Hence |V| never exceeds |A|^|S| in the sweep.
-    ``brute_force_oracle`` (the plain independent check) and
-    ``evaluate_lossy_bounds`` (where a per-v description kernel can use
-    the repeat) keep the full multiset enumeration;
-  * the auxiliary distribution (p(v|s) rows, or a single p(v) row in the
-    causal pattern) ranges over a uniform simplex grid with ``grid_steps``
+    grid with one symbol fewer, which the sweep visits too. Hence |V| never
+    exceeds |A|^|S| in the sweep. ``brute_force_oracle`` (the plain
+    independent check) and ``evaluate_lossy_bounds`` (where a per-v
+    description kernel can use the repeat) keep the full multiset
+    enumeration;
+  * the p(v|s) rows range over a uniform simplex grid with ``grid_steps``
     subdivisions per coordinate;
   * local refinement then shrinks the step by 4x per round around the
     incumbent, re-evaluating candidates through the exact reference path
-    in ``model``.
+    in ``model``;
+  * the causal hull answer competes as p(v|s) rows constant in s, so the
+    non-causal rate never exceeds the causal one.
 
 The grid sweep is budget-independent: each (policy, grid point) yields an
 (expected cost, objective) pair, and only the Pareto frontier of that cloud
-can ever answer a budget query, so the sweep is run once per (spec, mode,
-config), reduced to its exact frontier, cached, and shared by all budgets,
-by ``trace_curve``, and by the Lagrangian cross-check.
+can ever answer a budget query, so the sweep is run once per (spec,
+config), reduced to its exact frontier, cached with the column table, and
+shared by all budgets, by ``trace_curve``, and by the Lagrangian
+cross-check.
 
-Large alphabets make the enumeration count explode; the sweep refuses with
-a SearchSpaceError (carrying the count) instead of running for hours. The
+Large alphabets make the enumerations explode; they refuse with a
+SearchSpaceError (carrying the count) instead of running for hours. The
 cost constraint is handled two ways, both exposed: direct feasibility
-filtering against the frontier (``solve_*``), and ``lagrangian_sweep``,
-whose lower envelope bounds the grid-only direct solve (refine_rounds=0)
-from below by weak duality; refinement leaves the grid and may go lower.
+filtering (``solve_*``), and ``lagrangian_sweep``, whose lower envelope
+bounds the causal solve and the grid-only non-causal solve
+(refine_rounds=0) from below by weak duality; refinement leaves the grid
+and may go lower.
 
 Heavy sweeps (more than ~2e7 grid points) evaluate tiles in float32 for
 memory-bandwidth reasons; small sweeps stay in float64. Reported rates
-never come from the tile path: the returned argmin is always re-evaluated
-through ``model``, so a point's rate reproduces under re-evaluation to
-float64 accuracy. Everything here is pure-functional over read-only
-arrays; concurrent calls at worst duplicate a cached sweep.
+never come from the tile path or the column table: the returned argmin is
+always re-evaluated through ``model``, so a point's rate reproduces under
+re-evaluation to float64 accuracy. Everything here is pure-functional over
+read-only arrays; concurrent calls at worst duplicate a cached sweep.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import xlogy
@@ -115,13 +125,15 @@ _KERNEL_BLOCK = 4096
 class SolveConfig:
     """Search resolution and guard settings.
 
-    v_size_max / u_size_max default to |S|+2 and |Y|+2 (sufficient auxiliary
-    cardinalities for these objectives) when left as None. ``search_limit``
-    bounds the total number of grid evaluations a sweep may request;
-    bound searches with inner enumerations are charged a 64x weight for
-    their per-point cost. ``lambda_grid`` is the multiplier-grid size for
-    the lossy inner problem (the winning candidate is re-solved by exact
-    bisection, so it only affects argmin selection).
+    ``grid_steps`` and ``refine_rounds`` shape the grid searches only (the
+    non-causal sweep and the lossy bounds). v_size_max / u_size_max default
+    to |S|+2 and |Y|+2 (sufficient auxiliary cardinalities for these
+    objectives) when left as None. ``search_limit`` bounds the grid
+    evaluations a sweep may request and the column points a causal solve
+    reads; bound searches with inner enumerations are charged a 64x weight
+    for their per-point cost. ``lambda_grid`` is the multiplier-grid size
+    for the lossy inner problems (the winning candidate is re-solved by
+    exact bisection, so it only affects argmin selection).
     """
 
     grid_steps: int = 32
@@ -191,18 +203,19 @@ def _simplex_grid_size(k: int, steps: int) -> int:
 
 def _simplex_grid(k: int, steps: int) -> np.ndarray:
     """All pmfs on k atoms with denominators ``steps``, shape (N, k)."""
-    if k == 1:
-        return np.ones((1, 1))
-    pts = np.empty((_simplex_grid_size(k, steps), k))
-    row = 0
-    for cuts in itertools.combinations(range(steps + k - 1), k - 1):
-        prev = -1
-        for j, c in enumerate(cuts):
-            pts[row, j] = c - prev - 1
-            prev = c
-        pts[row, k - 1] = steps + k - 2 - prev
-        row += 1
-    return pts / steps
+    n = _simplex_grid_size(k, steps)
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(steps + k - 1), k - 1)),
+        dtype=np.int64, count=n * (k - 1),
+    ).reshape(n, k - 1)  # stars and bars: k - 1 bars among steps + k - 1 slots
+    bars = np.pad(cuts, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, steps + k - 1)))
+    return (np.diff(bars, axis=1) - 1) / steps
+
+
+def _grid_point(k: int, steps: int, index: int) -> np.ndarray:
+    """Row ``index`` of ``_simplex_grid(k, steps)``, without building the grid."""
+    cuts = next(itertools.islice(itertools.combinations(range(steps + k - 1), k - 1), index, None))
+    return (np.diff((-1, *cuts, steps + k - 1)) - 1) / steps
 
 
 def _action_columns(spec: ProblemSpec) -> list[tuple[int, ...]]:
@@ -213,10 +226,10 @@ def _action_columns(spec: ProblemSpec) -> list[tuple[int, ...]]:
 def _policies(spec: ProblemSpec, v_size: int, repeats: bool = False) -> list[np.ndarray]:
     """Policy tables (s, v), one per set of ``v_size`` distinct action columns.
 
-    Merging two symbols that share a column never worsens a lossless or
-    lossy-causal objective (see the module docstring), so the sweeps skip
-    repeats; ``repeats=True`` gives the full multiset enumeration that the
-    oracle and the lossy bounds keep.
+    Merging two symbols that share a column never worsens the non-causal
+    objective (see the module docstring), so the sweep skips repeats;
+    ``repeats=True`` gives the full multiset enumeration that the oracle
+    and the lossy bounds keep.
     """
     cols = _action_columns(spec)
     pick = itertools.combinations_with_replacement if repeats else itertools.combinations
@@ -256,12 +269,14 @@ class _Frontier:
 
     Candidates are screened against a bucketized prefix-min table first;
     the screen is conservative (floor-edge buckets), so every point that
-    could improve any budget query survives to the exact merge.
+    could improve any budget query survives to the exact merge. The spec's
+    column table rides along for the causal hull answer.
     """
 
-    def __init__(self, cost_ceiling: float, grid_points: int, tile_dtype: str):
+    def __init__(self, cost_ceiling: float, grid_points: int, tile_dtype: str, columns):
         self.grid_points = grid_points
         self.tile_dtype = tile_dtype
+        self.columns = columns
         self.cost = np.empty(0)
         self.obj = np.empty(0)
         self.v_size = np.empty(0, dtype=np.int64)
@@ -395,16 +410,16 @@ def _sweep_tiles(spec, policy, grid, causal, dtype, consume):
         consume(cost.reshape(-1), obj.reshape(-1), combos.reshape(-1))
 
 
-def _outer_count(spec, config, n_axes, repeats: bool = False) -> int:
-    """Policies times grid combos over every V size: the outer enumeration."""
+def _outer_count(spec, config, repeats: bool = False) -> int:
+    """Policies times p(v|s) grid combos over every V size: the outer enumeration."""
     return sum(
-        _policy_count(spec, v, repeats) * _simplex_grid_size(v, config.grid_steps) ** n_axes
+        _policy_count(spec, v, repeats) * _simplex_grid_size(v, config.grid_steps) ** spec.s_size
         for v in _v_sizes(spec, config, repeats)
     )
 
 
-def _run_sweep(spec, causal, config) -> _Frontier:
-    total = _outer_count(spec, config, 1 if causal else spec.s_size)
+def _run_sweep(spec, config) -> _Frontier:
+    total = _outer_count(spec, config)
     if total > config.search_limit:
         raise SearchSpaceError(total, config.search_limit, "grid sweep")
     dtype = np.float32 if total > _F32_THRESHOLD else np.float64
@@ -413,6 +428,7 @@ def _run_sweep(spec, causal, config) -> _Frontier:
         cost_ceiling=float(lam.max(initial=0.0)),
         grid_points=total,
         tile_dtype=np.dtype(dtype).name,
+        columns=_columns(spec),
     )
     for v_size in _v_sizes(spec, config):
         grid = _simplex_grid(v_size, config.grid_steps)
@@ -425,7 +441,7 @@ def _run_sweep(spec, causal, config) -> _Frontier:
                         cost[keep], obj[keep], _v, _p, combos[keep]
                     )
 
-            _sweep_tiles(spec, policy, grid, causal, dtype, consume)
+            _sweep_tiles(spec, policy, grid, False, dtype, consume)
     return frontier
 
 
@@ -435,17 +451,16 @@ _SWEEP_CACHE: dict[tuple, _Frontier] = {}
 _SWEEP_CACHE_MAX = 16
 
 
-def _cached_sweep(spec, causal, config) -> _Frontier:
+def _cached_sweep(spec, config) -> _Frontier:
     key = (
         spec.fingerprint(),
-        causal,
         config.grid_steps,
         len(_v_sizes(spec, config)),
         config.search_limit,
     )
     hit = _SWEEP_CACHE.get(key)
     if hit is None:
-        hit = _run_sweep(spec, causal, config)
+        hit = _run_sweep(spec, config)
         if len(_SWEEP_CACHE) >= _SWEEP_CACHE_MAX:
             _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
         _SWEEP_CACHE[key] = hit
@@ -492,16 +507,16 @@ def _row_moves(v_size: int, step: float) -> list[np.ndarray]:
     return moves
 
 
-def _refine(rows, budget, config, evaluate):
-    """Shrinking-step local search around the incumbent rows.
+def _refine(spec, policy, rows, budget, config):
+    """Shrinking-step local search around the incumbent p(v|s) rows.
 
-    ``evaluate(rows) -> (value, cost)``; moves that leave the simplex or
-    exceed the budget are discarded. At most two rows move at a time,
+    Candidates are evaluated through ``model``; moves that leave the simplex
+    or exceed the budget are discarded. At most two rows move at a time,
     which keeps the candidate set small while still allowing the cost
     trades between rows that budget-boundary optima need.
     """
     n_rows, v_size = rows.shape
-    best_val, best_cost = evaluate(rows)
+    best_val, best_cost = _eval_reference(spec, policy, rows, False)
     if v_size == 1:
         return rows, best_val, best_cost
     for round_no in range(1, config.refine_rounds + 1):
@@ -529,7 +544,7 @@ def _refine(rows, budget, config, evaluate):
                     cand[r] = nr
                 if not ok:
                     continue
-                val, cost = evaluate(cand)
+                val, cost = _eval_reference(spec, policy, cand, False)
                 if cost <= budget + _FEAS_EPS and val < best_val - 1e-13:
                     rows, best_val, best_cost = cand, val, cost
                     improved = True
@@ -545,12 +560,88 @@ def _check_budgets(**named) -> None:
             raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def _solve_lossless(spec, budget, causal, config) -> RateCostPoint:
+# ---------------------------------------------------------------------------
+# The exact causal layer: one column table, read as a convex hull
+# ---------------------------------------------------------------------------
+
+
+class _Columns(NamedTuple):
+    """Every action column j (a map S -> A). In the causal patterns V is
+    independent of (S, Z), so each per-v quantity depends only on v's column."""
+
+    policy: np.ndarray  # (s, n): column j is policy[:, j]
+    cost: np.ndarray  # (n,) expected cost c_j
+    cells: np.ndarray  # (n, z, y) output laws p(y | z, j)
+    h: np.ndarray  # (n,) H(Y | Z) in bits under column j
+
+
+def _columns(spec, config=None, weight: int = 1, subsets: int = 0) -> _Columns:
+    """The column table. Given a config, refuse unless ``weight`` points per
+    column and per ranked column subset fit within its search limit."""
+    cols = _action_columns(spec)
+    required = weight * (len(cols) + subsets)
+    if config is not None and required > config.search_limit:
+        raise SearchSpaceError(required, config.search_limit, "column table")
+    policy = _policy_table(cols, range(len(cols)))
+    rows = np.arange(spec.s_size)[:, None]
+    p_z = spec.side_info_marginal
+    joint = np.einsum("sz,sny->nzy", spec.state_joint, spec.channel[policy, rows, :])
+    cells = joint / np.where(p_z > 0.0, p_z, 1.0)[:, None]  # a zero-mass z keeps zero cells
+    cost = spec.state_marginal @ reduced_cost(spec)[rows, policy]
+    return _Columns(policy, cost, cells, -xlogy(cells, cells).sum(axis=2) @ p_z / _LN2)
+
+
+def _hull_read(cost, value, budget, pairs: bool = True):
+    """(value, weights) of the least mixture of at most two columns with
+    cost <= budget, or None when no column is affordable.
+
+    This reads the lower convex hull of the points (cost_j, value_j) at the
+    budget: a single affordable column, or a pair that straddles the budget
+    mixed at cost exactly ``budget``. Singles come first, so a tie keeps
+    one column; ``pairs=False`` reads singles only.
+    """
+    i = np.flatnonzero(cost <= budget + _FEAS_EPS)
+    if not len(i):
+        return None
+    k, theta = i, np.ones(len(i))  # weight theta on column i, 1 - theta on k
+    hi = np.flatnonzero(cost > budget + _FEAS_EPS)
+    if pairs and len(hi):
+        a, b = np.repeat(i, len(hi)), np.tile(hi, len(i))
+        theta = np.concatenate([theta, np.minimum((cost[b] - budget) / (cost[b] - cost[a]), 1.0)])
+        i, k = np.concatenate([i, a]), np.concatenate([k, b])
+    mixed = theta * value[i] + (1.0 - theta) * value[k]
+    m = int(np.argmin(mixed))
+    p = np.zeros(len(cost))
+    p[i[m]] += theta[m]
+    p[k[m]] += 1.0 - theta[m]
+    return float(mixed[m]), p
+
+
+def _infeasible(budget, meta, distortion=None, **why) -> RateCostPoint:
+    meta.update(why)
+    return RateCostPoint(budget=float(budget), rate=np.inf, cost=np.inf, feasible=False,
+                         distortion=distortion, metadata=meta)
+
+
+# ---------------------------------------------------------------------------
+# Lossless solves
+# ---------------------------------------------------------------------------
+
+
+def solve_noncausal(
+    spec: ProblemSpec, budget: float, config: SolveConfig | None = None
+) -> RateCostPoint:
+    """Minimize I(V;S|Z) + H(Y|V,Z) over policies and p(v|s), cost <= budget.
+
+    The refined grid answer competes with the causal hull answer, entered
+    as p(v|s) rows all equal to p(v) (so I(V;S|Z) = 0); the lower one, as
+    re-evaluated through ``model``, is reported (``from_hull`` says which).
+    """
     _check_budgets(budget=budget)
     config = config or SolveConfig()
-    frontier = _cached_sweep(spec, causal, config)
+    frontier = _cached_sweep(spec, config)
     meta = {
-        "mode": "causal" if causal else "noncausal",
+        "mode": "noncausal",
         "grid_steps": config.grid_steps,
         "refine_rounds": config.refine_rounds,
         "v_size_max": config.resolved_v_max(spec),
@@ -559,41 +650,61 @@ def _solve_lossless(spec, budget, causal, config) -> RateCostPoint:
     }
     hit = frontier.query(budget)
     if hit is None:
-        meta["min_achievable_cost"] = frontier.min_cost
-        return RateCostPoint(
-            budget=float(budget), rate=np.inf, cost=np.inf, feasible=False,
-            metadata=meta,
-        )
-    _, _, v_size, policy_id, combo = hit
-    grid = _simplex_grid(v_size, config.grid_steps)
-    policy = _policy(spec, v_size, policy_id)
-    n_axes = 1 if causal else spec.s_size
-    rows = _combo_rows(grid, combo, n_axes)
-
-    def evaluate(r):
-        return _eval_reference(spec, policy, r, causal)
-
-    rows, value, cost = _refine(rows, budget, config, evaluate)
-    aux = _make_aux(policy, rows, causal)
-    meta["v_size"] = v_size
+        return _infeasible(budget, meta, min_achievable_cost=frontier.min_cost)
+    obj, _, v_size, policy_id, combo = hit
+    cols = frontier.columns
+    hull_value, p = _hull_read(cols.cost, cols.h, budget, pairs=meta["v_size_max"] >= 2)
+    # unrefined, the grid answer is the swept value up to float32 rounding:
+    # a hull answer clearly below it wins without evaluating the grid point
+    value = np.inf
+    if config.refine_rounds or hull_value > obj - 1e-5:
+        policy = _policy(spec, v_size, policy_id)
+        n = _simplex_grid_size(v_size, config.grid_steps)
+        # combo is mixed-radix over the per-state grid rows, state 0 most significant
+        rows = np.array([_grid_point(v_size, config.grid_steps, combo // n**e % n)
+                         for e in reversed(range(spec.s_size))])
+        rows, value, cost = _refine(spec, policy, rows, budget, config)
+    meta["from_hull"] = False
+    # a hull answer within 1e-12 of the grid's is float dust: keep the grid argmin
+    if hull_value < value - 1e-12:
+        keep = p > 0.0
+        h_policy, h_rows = cols.policy[:, keep], np.tile(p[keep], (spec.s_size, 1))
+        h_value, h_cost = _eval_reference(spec, h_policy, h_rows, False)
+        if h_value < value:
+            policy, rows, value, cost = h_policy, h_rows, h_value, h_cost
+            meta["from_hull"] = True
+    meta["v_size"] = int(policy.shape[1])
     return RateCostPoint(
-        budget=float(budget), rate=value, cost=cost, argmin=aux,
+        budget=float(budget), rate=value, cost=cost, argmin=_make_aux(policy, rows, False),
         solved_rate=value, metadata=meta,
     )
-
-
-def solve_noncausal(
-    spec: ProblemSpec, budget: float, config: SolveConfig | None = None
-) -> RateCostPoint:
-    """Minimize I(V;S|Z) + H(Y|V,Z) over policies and p(v|s), cost <= budget."""
-    return _solve_lossless(spec, budget, causal=False, config=config)
 
 
 def solve_causal(
     spec: ProblemSpec, budget: float, config: SolveConfig | None = None
 ) -> RateCostPoint:
-    """Minimize H(Y|V,Z) over policies and state-independent p(v)."""
-    return _solve_lossless(spec, budget, causal=True, config=config)
+    """Minimize H(Y|V,Z) over policies and state-independent p(v), cost <= budget.
+
+    Exact: the hull of the column points (c_j, h_j) read at the budget,
+    with at most two columns (one when v_size_max is 1), its argmin
+    re-evaluated through ``model``.
+    """
+    _check_budgets(budget=budget)
+    config = config or SolveConfig()
+    cols = _columns(spec, config)
+    meta = {"mode": "causal", "v_size_max": config.resolved_v_max(spec),
+            "columns": len(cols.cost)}
+    hull = _hull_read(cols.cost, cols.h, budget, pairs=meta["v_size_max"] >= 2)
+    if hull is None:
+        return _infeasible(budget, meta, min_achievable_cost=float(cols.cost.min()))
+    keep = hull[1] > 0.0
+    p_v = hull[1][keep][None]
+    value, cost = _eval_reference(spec, cols.policy[:, keep], p_v, True)
+    meta["v_size"] = int(keep.sum())
+    return RateCostPoint(
+        budget=float(budget), rate=value, cost=cost,
+        argmin=_make_aux(cols.policy[:, keep], p_v, True), solved_rate=value, metadata=meta,
+    )
 
 
 def lagrangian_sweep(
@@ -602,32 +713,38 @@ def lagrangian_sweep(
     lambdas=DEFAULT_LAGRANGE_SWEEP,
     config: SolveConfig | None = None,
 ) -> list[dict]:
-    """min(objective + lam * cost) over the swept cloud, per multiplier.
+    """min(objective + lam * cost) over the candidate points, per multiplier.
 
-    For every lam >= 0 the minimizer lies on the Pareto frontier, so this
-    reads the cached sweep. By weak duality, max over lam of
-    (value - lam * B) lower-bounds the grid-only direct solve at budget B,
-    i.e. the solve with refine_rounds=0, which answers from the same
-    frontier; tests use that as the cross-check between the two constraint
-    treatments. Refinement leaves the grid, so a refined solve may fall
-    below this bound.
+    Causal mode reads the column points (c_j, h_j), non-causal mode the
+    cached sweep's frontier (for every lam >= 0 the minimizer lies on it).
+    By weak duality, max over lam of (value - lam * B) lower-bounds the
+    causal solve at budget B and the grid-only non-causal solve
+    (refine_rounds=0): both answer from these points or their hull, and the
+    sweep's |V| = 1 points are the columns. Tests use that as the
+    cross-check between the two constraint treatments. Refinement leaves
+    the grid, so a refined non-causal solve may fall below this bound.
     """
     causal = _parse_mode(mode)
     config = config or SolveConfig()
     lambdas = tuple(lambdas)
     if not all(math.isfinite(l) and l >= 0.0 for l in lambdas):
         raise DomainError("multipliers must be finite and >= 0")
-    frontier = _cached_sweep(spec, causal, config)
+    if causal:
+        cols = _columns(spec, config)
+        objective, costs = cols.h, cols.cost
+    else:
+        frontier = _cached_sweep(spec, config)
+        objective, costs = frontier.obj, frontier.cost
     out = []
     for lam in lambdas:
-        scores = frontier.obj + lam * frontier.cost
+        scores = objective + lam * costs
         k = int(np.argmin(scores))
         out.append(
             {
                 "lam": float(lam),
                 "value": float(scores[k]),
-                "objective": float(frontier.obj[k]),
-                "cost": float(frontier.cost[k]),
+                "objective": float(objective[k]),
+                "cost": float(costs[k]),
             }
         )
     return out
@@ -817,13 +934,6 @@ def _cell_curves(cell_sets, d_table, slopes):
     return curves, np.concatenate(iters)
 
 
-def _mixture_rate(w, rate_k, dist_k, distortion_budget) -> float:
-    """Rate of the cell mixture ``w`` at the first slope that meets the
-    distortion budget, or inf if none does."""
-    ok = np.flatnonzero(w @ dist_k <= distortion_budget + _FEAS_EPS)
-    return float((w @ rate_k)[ok[0]]) if len(ok) else np.inf
-
-
 def _rd_bisect(cells, w, d_table, distortion_budget, config):
     """Exact common-multiplier bisection for the cell mixture ``w``.
 
@@ -886,28 +996,57 @@ def _rd_bisect(cells, w, d_table, distortion_budget, config):
     return rate, q, calls
 
 
-def _lossy_cells(spec, policy) -> np.ndarray:
-    """Per-(v,z) output laws p(y|v,z) as (v*z, y) cells.
+def _lossy_plan(cost, rate, dist, lam_max, budget, distortion_budget):
+    """(rate, column weights, bound) of the least-rate mixture of the curve
+    points (``rate``, ``dist``: (n, K)) within both budgets, or None.
 
-    In the causal pattern V is independent of (S, Z), so these laws do not
-    depend on p(v); candidates only reweight them.
+    Its (distortion, rate) frontier is convex and piecewise linear; the hull
+    read at multiplier lam, each column at its least rate + lam * distortion
+    point, lands on it where the slope is -lam. From the ends lam = 0 (the
+    zero-rate anchors) and lam = inf (least distortion), each step reads the
+    hull at the slope of the chord between the pair: a point below the chord
+    replaces the end on its side of the budget, and none makes the chord
+    part of the frontier (Eisner and Severance, J. ACM 23(4), 1976). The pair
+    is mixed to meet the budget exactly. A chord slope above ``lam_max``, the
+    curves' top slope, sets ``bound`` (else inf): past its top slope each
+    convex curve lies above its tangent R_top + lam_max * (D_top - d), so no
+    mixture beats the Lagrangian at lam_max read at the budget.
     """
-    s_size = spec.s_size
-    t = spec.channel[policy, np.arange(s_size)[:, None], :]  # (s, v, y)
-    p_z = spec.side_info_marginal
-    with np.errstate(invalid="ignore"):
-        p_s_given_z = np.where(
-            p_z[None, :] > 0.0, spec.state_joint / np.where(p_z == 0.0, 1.0, p_z)[None, :], 0.0
-        )  # (s, z)
-    return np.einsum("sz,svy->vzy", p_s_given_z, t).reshape(-1, spec.y_size)
+    cols = np.arange(len(cost))
+    if not np.any(cost <= budget + _FEAS_EPS):
+        return None
 
+    def solve_at(lam):
+        """(rate, distortion, weights) of the hull read at multiplier lam."""
+        if lam == 0.0:
+            k, value = 0 * cols, dist[:, 0]
+        else:
+            score = dist if lam == np.inf else rate + lam * dist
+            k = np.argmin(score, axis=1)
+            value = score[cols, k]
+        p = _hull_read(cost, value, budget)[1]
+        return float(p @ rate[cols, k]), float(p @ dist[cols, k]), p
 
-def _column_costs(spec, policy) -> np.ndarray:
-    """Expected cost of each V symbol's action column, shape (v,)."""
-    lam = reduced_cost(spec)
-    return np.einsum(
-        "s,sv->v", spec.state_marginal, lam[np.arange(spec.s_size)[:, None], policy]
-    )
+    lo, hi = solve_at(0.0), solve_at(np.inf)
+    if lo[1] <= distortion_budget + _FEAS_EPS:
+        return lo[0], lo[2], np.inf
+    if hi[1] > distortion_budget + _FEAS_EPS:
+        return None
+    for _ in range(_BISECT_STEPS):
+        lam = (hi[0] - lo[0]) / (lo[1] - hi[1])
+        mid = solve_at(lam)
+        if mid[0] + lam * mid[1] >= lo[0] + lam * lo[1] - 1e-12:
+            break
+        if mid[1] <= distortion_budget + _FEAS_EPS:
+            hi = mid
+        else:
+            lo = mid
+    bound = np.inf
+    if lam > lam_max:
+        top = solve_at(lam_max)
+        bound = top[0] + lam_max * (top[1] - distortion_budget)
+    a = min(max((distortion_budget - hi[1]) / (lo[1] - hi[1]), 0.0), 1.0)
+    return a * lo[0] + (1.0 - a) * hi[0], a * lo[2] + (1.0 - a) * hi[2], bound
 
 
 def solve_lossy_causal(
@@ -918,134 +1057,80 @@ def solve_lossy_causal(
 ) -> RateCostPoint:
     """Minimize I(Y; Yhat | V, Z) subject to cost and distortion budgets.
 
-    Outer search as in solve_causal; the inner reconstruction problem
-    decomposes per (v, z) cell (the cells' output laws do not depend on
-    p(v) in the causal pattern), coupled only through the shared distortion
-    budget, so it is solved by Blahut iterations on a common multiplier
-    grid, with exact multiplier bisection re-run on the winner. A zero-rate
-    anchor (best constant reconstruction per cell) handles the slope-0 end
-    exactly. Infeasible (budget, distortion) pairs return a typed
-    infeasible point rather than raising.
+    The inner reconstruction problem decomposes per (v, z) cell, and a
+    cell's output law depends only on v's action column. One grouped Blahut
+    call traces each column's rate-distortion curve on a common multiplier
+    grid, with a zero-rate anchor (the best constant reconstruction per
+    cell) at slope 0. ``_lossy_plan`` mixes the curves into p(v) over at
+    most v_size_max columns (ranking the column subsets of that size when
+    the mix needs more), and exact multiplier bisection finishes that p(v).
+    Infeasible (budget, distortion) pairs return a typed infeasible point;
+    a distortion budget that needs multipliers above ``lambda_max``, by
+    more than 1e-9 in rate, raises IntegrityError.
 
     The metadata reports the inner work: ``blahut_iters`` (the most Blahut
-    updates any policy's cell curves took), ``blahut_capped`` (how many
-    policies ran all _BA_MAX_ITER updates) and ``bisect_calls`` (Blahut
-    calls of the final bisection, 0 when the zero-rate anchor answers).
+    updates any column's curves took), ``blahut_capped`` (how many columns
+    ran all _BA_MAX_ITER updates) and ``bisect_calls`` (Blahut calls of the
+    final bisection, 0 when the zero-rate anchor answers).
     """
     _check_budgets(budget=budget, distortion_budget=distortion_budget)
     if spec.distortion is None:
         raise UsageError("spec has no distortion table; lossless solves apply")
     config = config or SolveConfig()
-    d_table = spec.distortion
-    v_max = config.resolved_v_max(spec)
-    p_z = spec.side_info_marginal
-
-    total = _outer_count(spec, config, 1)
-    if total * config.lambda_grid > config.search_limit:
-        raise SearchSpaceError(total * config.lambda_grid, config.search_limit,
-                               "lossy sweep")
-    slopes = _slopes(config)
-
-    # "curves" keeps the incumbent policy's (cells, rate_k, dist_k, cost_v)
-    best = {"rate": np.inf, "policy": None, "rows": None, "curves": None,
-            "capped_floor": np.inf}
-    any_cost_feasible = False
-    blahut_iters, blahut_capped = 0, 0  # over the cell-curve groups (policies)
-
-    for v_size in _v_sizes(spec, config):
-        grid = _simplex_grid(v_size, config.grid_steps)
-        w = (grid[:, :, None] * p_z[None, None, :]).reshape(len(grid), -1)  # (n, cells)
-        todo = []  # cost-feasible policies, whose curves share Blahut calls
-        for policy in _policies(spec, v_size):
-            cost_v = _column_costs(spec, policy)
-            feas_cost = grid @ cost_v <= budget + _FEAS_EPS
-            if np.any(feas_cost):
-                todo.append((policy, cost_v, feas_cost, _lossy_cells(spec, policy)))
-        if not todo:
-            continue
-        any_cost_feasible = True
-        curves, iters = _cell_curves([t[3] for t in todo], d_table, slopes)
-        blahut_iters = max(blahut_iters, int(iters.max()))
-        blahut_capped += int(np.count_nonzero(iters >= _BA_MAX_ITER))
-        for (policy, cost_v, feas_cost, cells), (rate_k, dist_k) in zip(todo, curves):
-            dists = w[feas_cost] @ dist_k  # (n_feas, K)
-            rates = w[feas_cost] @ rate_k
-            ok = dists <= distortion_budget + _FEAS_EPS
-            has_k = ok.any(axis=1)
-            if np.any(has_k):
-                first_k = np.argmax(ok, axis=1)
-                sub = np.flatnonzero(has_k)
-                cand_rates = rates[sub, first_k[sub]]
-                j = int(np.argmin(cand_rates))
-                if cand_rates[j] < best["rate"]:
-                    rows_idx = np.flatnonzero(feas_cost)[sub[j]]
-                    best.update(
-                        rate=float(cand_rates[j]), policy=policy,
-                        rows=grid[rows_idx][None, :],
-                        curves=(cells, rate_k, dist_k, cost_v),
-                    )
-            # candidates that even the capped multiplier cannot resolve
-            capped = np.flatnonzero(~has_k)
-            if len(capped):
-                d_floor = w[feas_cost][capped] @ dist_k[:, -1]
-                reachable = d_floor <= distortion_budget + 1e-9
-                if np.any(reachable):
-                    floor = float(rates[capped[reachable], -1].min())
-                    best["capped_floor"] = min(best["capped_floor"], floor)
-
+    d_table, p_z = spec.distortion, spec.side_info_marginal
+    v_max, n = config.resolved_v_max(spec), spec.a_size**spec.s_size
+    # a plan mixes at most 4 columns; fewer allowed means ranking subsets
+    subsets = math.comb(n, v_max) if v_max < min(4, n) else 0
+    cols = _columns(spec, config, config.lambda_grid, subsets)
     meta = {
-        "mode": "lossy-causal", "grid_steps": config.grid_steps,
-        "refine_rounds": config.refine_rounds, "v_size_max": v_max,
+        "mode": "lossy-causal", "v_size_max": v_max, "columns": n,
         "lambda_max": config.lambda_max, "lambda_grid": config.lambda_grid,
-        "blahut_iters": blahut_iters, "blahut_capped": blahut_capped, "bisect_calls": 0,
+        "blahut_iters": 0, "blahut_capped": 0, "bisect_calls": 0,
     }
-    if best["policy"] is None:
-        meta["reason"] = (
-            "no action choice meets the cost budget" if not any_cost_feasible
-            else "distortion budget below the achievable floor"
-        )
-        return RateCostPoint(
-            budget=float(budget), rate=np.inf, cost=np.inf, feasible=False,
-            distortion=float(distortion_budget), metadata=meta,
-        )
-    if best["capped_floor"] < best["rate"] - 1e-12:
-        raise IntegrityError(
-            "a candidate needs a distortion multiplier above lambda_max "
-            f"({config.lambda_max}) and could beat the incumbent; raise lambda_max"
-        )
+    if not np.any(cols.cost <= budget + _FEAS_EPS):
+        return _infeasible(budget, meta, float(distortion_budget),
+                           reason="no action choice meets the cost budget")
+    slopes = _slopes(config)
+    curves, iters = _cell_curves(list(cols.cells), d_table, slopes)
+    meta["blahut_iters"] = int(iters.max())
+    meta["blahut_capped"] = int(np.count_nonzero(iters >= _BA_MAX_ITER))
+    rate = np.array([p_z @ r for r, _ in curves])  # (n, K)
+    dist = np.array([p_z @ d for _, d in curves])
+    lam_max = float(slopes[-1] / _LN2)
 
-    # Refinement ranks candidates on the shared multiplier grid (the cells,
-    # and hence the per-cell curves, do not depend on p(v)); only the final
-    # winner pays for an exact multiplier bisection.
-    cells, rate_k, dist_k, cost_v = best["curves"]
-
-    def evaluate(rows):
-        w = (rows[0][:, None] * p_z[None, :]).reshape(-1)
-        return _mixture_rate(w, rate_k, dist_k, distortion_budget), float(rows[0] @ cost_v)
-
-    rows, _, _ = _refine(best["rows"], budget, config, evaluate)
-    r = rows[0]
+    plan = _lossy_plan(cols.cost, rate, dist, lam_max, budget, distortion_budget)
+    if plan is not None and np.count_nonzero(plan[1]) > v_max:
+        plan = None
+        for sub in map(list, itertools.combinations(range(n), v_max)):
+            cand = _lossy_plan(cols.cost[sub], rate[sub], dist[sub], lam_max, budget,
+                               distortion_budget)
+            if cand is not None and (plan is None or cand[0] < plan[0]):
+                plan = (cand[0], np.zeros(n), cand[2])
+                plan[1][sub] = cand[1]
+    if plan is None:
+        d_min = cols.cells @ d_table.min(axis=1) @ p_z  # distortion at infinite slope
+        if _hull_read(cols.cost, d_min, budget, v_max >= 2)[0] > distortion_budget + _FEAS_EPS:
+            return _infeasible(budget, meta, float(distortion_budget),
+                               reason="distortion budget below the achievable floor")
+        raise IntegrityError(f"distortion {distortion_budget} needs a multiplier above "
+                             f"lambda_max ({config.lambda_max}); raise lambda_max")
+    keep = plan[1] > 0.0
+    p_v = plan[1][keep]
     value, q, meta["bisect_calls"] = _rd_bisect(
-        cells, (r[:, None] * p_z[None, :]).reshape(-1), d_table, distortion_budget, config
+        cols.cells[keep].reshape(-1, spec.y_size), (p_v[:, None] * p_z[None, :]).reshape(-1),
+        d_table, distortion_budget, config,
     )
-    v_size = int(best["policy"].shape[1])
-    aux = AuxiliaryChoice(
-        policy=ActionPolicy(best["policy"]), v_marginal=r,
-        recon=_cells_to_recon(q, v_size, spec),
-    )
-    meta["v_size"] = v_size
+    if plan[2] < value - 1e-9:
+        raise IntegrityError(f"a multiplier above lambda_max ({config.lambda_max}) could "
+                             f"beat {value!r}; raise lambda_max")
+    recon = np.transpose(q.reshape(len(p_v), spec.z_size, spec.y_size, -1), (2, 0, 1, 3))
+    aux = AuxiliaryChoice(policy=ActionPolicy(cols.policy[:, keep]), v_marginal=p_v,
+                          recon=np.ascontiguousarray(recon))  # indexed (y, v, z, yhat)
+    meta["v_size"] = len(p_v)
     return RateCostPoint(
-        budget=float(budget), rate=value, cost=float(r @ cost_v), feasible=True,
-        distortion=float(distortion_budget), argmin=aux, solved_rate=value,
-        metadata=meta,
+        budget=float(budget), rate=value, cost=float(p_v @ cols.cost[keep]), feasible=True,
+        distortion=float(distortion_budget), argmin=aux, solved_rate=value, metadata=meta,
     )
-
-
-def _cells_to_recon(q_cells, v_size, spec):
-    """(v*z, y, yhat) cell kernels -> recon array indexed (y, v, z, yhat)."""
-    z_size = spec.z_size
-    q = q_cells.reshape(v_size, z_size, spec.y_size, -1)
-    return np.ascontiguousarray(np.transpose(q, (2, 0, 1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1209,7 @@ def evaluate_lossy_bounds(
     config = config or SolveConfig()
     v_max = config.resolved_v_max(spec)
     u_max = config.resolved_u_max(spec)
-    outer = _outer_count(spec, config, spec.s_size, repeats=True)
+    outer = _outer_count(spec, config, repeats=True)
     u_inner = sum(
         _simplex_grid_size(u, config.grid_steps) ** spec.y_size
         for u in range(1, u_max + 1)
@@ -1167,7 +1252,9 @@ def evaluate_lossy_bounds(
         nonlocal sib_winner
         curves, _ = _cell_curves([c[0] for c in sib_batch], d_table, slopes)
         for (cells, w, i_vs_z, policy, rows), (rate_k, dist_k) in zip(sib_batch, curves):
-            val = i_vs_z + _mixture_rate(w, rate_k, dist_k, distortion_budget)
+            # the rate at the first slope that meets the distortion budget
+            ok = np.flatnonzero(w @ dist_k <= distortion_budget + _FEAS_EPS)
+            val = i_vs_z + (float((w @ rate_k)[ok[0]]) if len(ok) else np.inf)
             if val < best["si-both"][0]:
                 best["si-both"] = (val, _make_aux(policy, rows, False))
                 sib_winner = (cells, w, i_vs_z)
@@ -1309,10 +1396,8 @@ def trace_curve(
             solve_lossy_causal(spec, b, distortion_budget, config) for b in budgets
         ]
     else:
-        causal = _parse_mode(mode)
-        points = [
-            _solve_lossless(spec, b, causal=causal, config=config) for b in budgets
-        ]
+        solve = solve_causal if _parse_mode(mode) else solve_noncausal
+        points = [solve(spec, b, config) for b in budgets]
 
     # enforce monotone non-increase by carrying better argmins forward
     carried: list[RateCostPoint] = []

@@ -228,8 +228,8 @@ def test_criterion_5_property_suite():
                 worst["cost"],
                 abs(expected_cost(j, spec) - float((p_sa * reduced_cost(spec)).sum())),
             )
-        # committing V before S can never help: same grid, no refinement,
-        # so the causal candidates embed exactly into the non-causal sweep
+        # committing V before S can never help: the non-causal solve also
+        # reads the exact causal hull, as p(v|s) rows constant in s
         for b in (0.3, 0.8):
             nc = solve_noncausal(spec, b, cfg)
             ca = solve_causal(spec, b, cfg)

@@ -247,6 +247,13 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exit_2(self, capsys, spec_file, aux_file, epsilon):
+        args = [a if a != "0.5" else epsilon for a in self.ARGS]
+        code = main(["simulate", "--spec", spec_file, "--aux", aux_file, *args])
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+
     def test_report_echoes_config(self, tmp_path, spec_file, aux_file):
         out = tmp_path / "r.json"
         main(["simulate", "--spec", spec_file, "--aux", aux_file, *self.ARGS,

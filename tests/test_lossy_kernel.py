@@ -234,8 +234,8 @@ class TestLossyGuards:
         assert pt.feasible
 
     @pytest.mark.parametrize("solve, cfg, required", [
-        (solve_lossy_causal, SolveConfig(grid_steps=6, v_size_max=2, u_size_max=2), 4416),
-        (solve_lossy_causal, SolveConfig(grid_steps=8), 38688),
+        (solve_lossy_causal, SolveConfig(grid_steps=6, v_size_max=2, u_size_max=2), 960),
+        (solve_lossy_causal, SolveConfig(grid_steps=8), 384),
         (evaluate_lossy_bounds, SolveConfig(grid_steps=4, v_size_max=2, u_size_max=2),
          12_159_488),
         (evaluate_lossy_bounds, SolveConfig(grid_steps=8, v_size_max=2, u_size_max=3),
@@ -251,17 +251,18 @@ class TestLossyGuards:
 
 
 class TestLossyTablePin:
-    """The benchmark's lossy-table configuration, against values recorded
-    with the serial (one Blahut run per policy, candidate and midpoint)
-    implementation."""
+    """The benchmark's lossy-table configuration. The bounds are values
+    recorded with the serial (one Blahut run per policy, candidate and
+    midpoint) implementation; the lossy-causal values are the exact column
+    mix, which spends the whole budget."""
 
     CFG = SolveConfig(grid_steps=6, v_size_max=2, u_size_max=2, refine_rounds=1)
     # (rate, cost) per budget 0.094, 0.198, 0.302, 0.385
     LOSSY = {
-        0.05: [(0.6251023084780096, 0.08333333333333333), (0.5144763904757764, 0.1875),
-               (0.4038504724735434, 0.29166666666666663), (0.3153497380717568, 0.37499999999999994)],
-        0.2: [(0.19986041432803425, 0.08333333333333333), (0.10828351764459186, 0.1875),
-              (0.03132554194792434, 0.29166666666666663), (0.0, 0.37499999999999994)],
+        0.05: [(0.6137742144745809, 0.094), (0.5033252979411512, 0.198),
+               (0.3928763814077218, 0.302), (0.30472964994354235, 0.385)],
+        0.2: [(0.19010331500372316, 0.094), (0.0996446634859928, 0.198),
+              (0.02522396654939117, 0.302), (0.0, 0.385)],
     }
     # si-both, si-decoder, si-decoder-v at B = 0.27, grid 4
     BOUNDS = {
@@ -275,7 +276,7 @@ class TestLossyTablePin:
             for b, (rate, cost) in zip((0.094, 0.198, 0.302, 0.385), expected):
                 pt = solve_lossy_causal(spec, b, d, self.CFG)
                 np.testing.assert_allclose([pt.rate, pt.cost], [rate, cost], rtol=0, atol=1e-12)
-                # two policies' curves run to the cap; the zero-rate anchor needs no call
+                # two columns' curves run to the cap; the zero-rate anchor needs no call
                 meta = pt.metadata
                 assert (meta["blahut_iters"], meta["blahut_capped"]) == (solver._BA_MAX_ITER, 2)
                 assert meta["bisect_calls"] == (0 if rate == 0.0 else BISECT_CALLS)

@@ -119,6 +119,14 @@ class TestSimConfigValidation:
         SimConfig(n=8, trials=10, seed=0, rate=1.0, codebook_rate_v=0.1,
                   epsilon=1.5)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_epsilon_must_be_finite(self, epsilon):
+        """NaN would fail every typicality test and inf pass every one,
+        giving all-decoder-none or all-decoder-ambiguous reports."""
+        with pytest.raises(DomainError, match="epsilon"):
+            SimConfig(n=8, trials=10, seed=0, rate=1.0, codebook_rate_v=0.1,
+                      epsilon=epsilon)
+
     def test_mode_specific_requirements(self):
         with pytest.raises(UsageError):
             SimConfig(n=8, trials=10, seed=0, mode="binning",

@@ -5,6 +5,7 @@ search tolerances follow the documented accuracy model (about one grid
 step of slack, tightened by refinement).
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,26 @@ def box_spec(rng):
     )
 
 
+def loop_simplex_grid(k, steps):
+    """The row-by-row stars-and-bars enumeration, kept as the reference."""
+    pts = []
+    for cuts in itertools.combinations(range(steps + k - 1), k - 1):
+        prev, row = -1, []
+        for c in cuts:
+            row.append(c - prev - 1)
+            prev = c
+        pts.append(row + [steps + k - 2 - prev])
+    return np.array(pts, dtype=float) / steps
+
+
+def test_simplex_grid_matches_the_loop():
+    for k in range(1, 6):
+        for steps in (2, 6, 15):
+            grid = solver._simplex_grid(k, steps)
+            assert np.array_equal(grid, loop_simplex_grid(k, steps))
+            assert len(grid) == solver._simplex_grid_size(k, steps)
+
+
 class TestDistinctColumns:
     """The sweeps enumerate distinct action columns; the oracle keeps the
     full multiset of columns."""
@@ -235,13 +256,14 @@ class TestDistinctColumns:
     def test_metadata_reports_grid_points_and_tile_dtype(self, monkeypatch):
         spec = make_binary_example(0.1)
         cfg = SolveConfig(grid_steps=15, refine_rounds=0)
-        for solve, points in ((solve_noncausal, 741_380), (solve_causal, 1460)):
-            meta = solve(spec, 0.2, cfg).metadata
-            assert meta["grid_points"] == points
-            assert meta["tile_dtype"] == "float64"
+        meta = solve_noncausal(spec, 0.2, cfg).metadata
+        assert meta["grid_points"] == 741_380
+        assert meta["tile_dtype"] == "float64"
+        # the causal solve sweeps no grid: it reads the |A|^|S| column points
+        assert solve_causal(spec, 0.2, cfg).metadata["columns"] == 4
         monkeypatch.setattr(solver, "_F32_THRESHOLD", 1000)
         # another search_limit keys a fresh sweep instead of the cached one
-        meta = solve_causal(spec, 0.2, replace(cfg, search_limit=10**6)).metadata
+        meta = solve_noncausal(spec, 0.2, replace(cfg, grid_steps=4, search_limit=10**6)).metadata
         assert meta["tile_dtype"] == "float32"
 
     def test_never_worse_than_the_full_enumeration(self):
