@@ -33,9 +33,9 @@ The non-causal objective is not jointly convex in p(v|s), so
 The grid sweep is budget-independent: each (policy, grid point) yields an
 (expected cost, objective) pair, and only the Pareto frontier of that cloud
 can ever answer a budget query, so the sweep is run once per (spec,
-config), reduced to its exact frontier, cached with the column table, and
-shared by all budgets, by ``trace_curve``, and by the Lagrangian
-cross-check.
+config), reduced to its exact frontier, cached, and shared by all budgets,
+by ``trace_curve``, and by the Lagrangian cross-check. The column table is
+cached per spec the same way.
 
 Large alphabets make the enumerations explode; they refuse with a
 SearchSpaceError (carrying the count) instead of running for hours. The
@@ -68,10 +68,8 @@ from .model import (
     AuxiliaryChoice,
     ProblemSpec,
     assemble_joint,
-    causal_lossy_rate,
     causal_rate,
     expected_cost,
-    expected_distortion,
     noncausal_rate,
     reduced_cost,
 )
@@ -203,19 +201,18 @@ def _simplex_grid_size(k: int, steps: int) -> int:
 
 def _simplex_grid(k: int, steps: int) -> np.ndarray:
     """All pmfs on k atoms with denominators ``steps``, shape (N, k)."""
-    n = _simplex_grid_size(k, steps)
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(steps + k - 1), k - 1)),
-        dtype=np.int64, count=n * (k - 1),
-    ).reshape(n, k - 1)  # stars and bars: k - 1 bars among steps + k - 1 slots
-    bars = np.pad(cuts, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, steps + k - 1)))
-    return (np.diff(bars, axis=1) - 1) / steps
-
-
-def _grid_point(k: int, steps: int, index: int) -> np.ndarray:
-    """Row ``index`` of ``_simplex_grid(k, steps)``, without building the grid."""
-    cuts = next(itertools.islice(itertools.combinations(range(steps + k - 1), k - 1), index, None))
-    return (np.diff((-1, *cuts, steps + k - 1)) - 1) / steps
+    if k == 1:
+        return np.ones((1, 1))
+    pts = np.empty((_simplex_grid_size(k, steps), k))
+    row = 0
+    for cuts in itertools.combinations(range(steps + k - 1), k - 1):
+        prev = -1
+        for j, c in enumerate(cuts):
+            pts[row, j] = c - prev - 1
+            prev = c
+        pts[row, k - 1] = steps + k - 2 - prev
+        row += 1
+    return pts / steps
 
 
 def _action_columns(spec: ProblemSpec) -> list[tuple[int, ...]]:
@@ -269,14 +266,12 @@ class _Frontier:
 
     Candidates are screened against a bucketized prefix-min table first;
     the screen is conservative (floor-edge buckets), so every point that
-    could improve any budget query survives to the exact merge. The spec's
-    column table rides along for the causal hull answer.
+    could improve any budget query survives to the exact merge.
     """
 
-    def __init__(self, cost_ceiling: float, grid_points: int, tile_dtype: str, columns):
+    def __init__(self, cost_ceiling: float, grid_points: int, tile_dtype: str):
         self.grid_points = grid_points
         self.tile_dtype = tile_dtype
-        self.columns = columns
         self.cost = np.empty(0)
         self.obj = np.empty(0)
         self.v_size = np.empty(0, dtype=np.int64)
@@ -428,7 +423,6 @@ def _run_sweep(spec, config) -> _Frontier:
         cost_ceiling=float(lam.max(initial=0.0)),
         grid_points=total,
         tile_dtype=np.dtype(dtype).name,
-        columns=_columns(spec),
     )
     for v_size in _v_sizes(spec, config):
         grid = _simplex_grid(v_size, config.grid_steps)
@@ -445,10 +439,20 @@ def _run_sweep(spec, config) -> _Frontier:
     return frontier
 
 
-# Process-local sweep cache: the sweep is budget-independent, so repeated
-# solves and trace_curve share it. Bounded FIFO.
-_SWEEP_CACHE: dict[tuple, _Frontier] = {}
+# Process-local cache of the budget-independent work (the sweep frontiers and
+# the column tables), shared by repeated solves and trace_curve. Bounded FIFO.
+_SWEEP_CACHE: dict[tuple, object] = {}
 _SWEEP_CACHE_MAX = 16
+
+
+def _cached(key, build):
+    hit = _SWEEP_CACHE.get(key)
+    if hit is None:
+        hit = build()
+        if len(_SWEEP_CACHE) >= _SWEEP_CACHE_MAX:
+            _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
+        _SWEEP_CACHE[key] = hit
+    return hit
 
 
 def _cached_sweep(spec, config) -> _Frontier:
@@ -458,13 +462,7 @@ def _cached_sweep(spec, config) -> _Frontier:
         len(_v_sizes(spec, config)),
         config.search_limit,
     )
-    hit = _SWEEP_CACHE.get(key)
-    if hit is None:
-        hit = _run_sweep(spec, config)
-        if len(_SWEEP_CACHE) >= _SWEEP_CACHE_MAX:
-            _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
-        _SWEEP_CACHE[key] = hit
-    return hit
+    return _cached(key, lambda: _run_sweep(spec, config))
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +574,17 @@ class _Columns(NamedTuple):
 
 
 def _columns(spec, config=None, weight: int = 1, subsets: int = 0) -> _Columns:
-    """The column table. Given a config, refuse unless ``weight`` points per
-    column and per ranked column subset fit within its search limit."""
-    cols = _action_columns(spec)
-    required = weight * (len(cols) + subsets)
+    """The (cached) column table. Given a config, refuse unless ``weight``
+    points per column and per ranked column subset fit within its search
+    limit."""
+    required = weight * (spec.a_size**spec.s_size + subsets)
     if config is not None and required > config.search_limit:
         raise SearchSpaceError(required, config.search_limit, "column table")
+    return _cached((spec.fingerprint(), "columns"), lambda: _column_table(spec))
+
+
+def _column_table(spec) -> _Columns:
+    cols = _action_columns(spec)
     policy = _policy_table(cols, range(len(cols)))
     rows = np.arange(spec.s_size)[:, None]
     p_z = spec.side_info_marginal
@@ -591,30 +594,44 @@ def _columns(spec, config=None, weight: int = 1, subsets: int = 0) -> _Columns:
     return _Columns(policy, cost, cells, -xlogy(cells, cells).sum(axis=2) @ p_z / _LN2)
 
 
+def _lower_hull(cost, value) -> np.ndarray:
+    """Indices of the lower convex hull of the points (cost_j, value_j),
+    from the cheapest point to the least value, by increasing cost."""
+    c, v = cost.tolist(), value.tolist()
+    hull = []
+    for j in np.lexsort((value, cost)).tolist():
+        if hull and v[j] >= v[hull[-1]]:
+            continue  # costs no less than the last vertex and is worth no less
+        while len(hull) >= 2 and ((v[hull[-1]] - v[hull[-2]]) * (c[j] - c[hull[-2]])
+                                  >= (v[j] - v[hull[-2]]) * (c[hull[-1]] - c[hull[-2]])):
+            hull.pop()  # the last vertex lies on or above the chord to j
+        hull.append(j)
+    return np.array(hull)
+
+
 def _hull_read(cost, value, budget, pairs: bool = True):
     """(value, weights) of the least mixture of at most two columns with
     cost <= budget, or None when no column is affordable.
 
     This reads the lower convex hull of the points (cost_j, value_j) at the
-    budget: a single affordable column, or a pair that straddles the budget
-    mixed at cost exactly ``budget``. Singles come first, so a tie keeps
-    one column; ``pairs=False`` reads singles only.
+    budget: the last vertex the budget affords, mixed with the next one at
+    cost exactly ``budget`` when there is one. ``pairs=False`` reads the
+    best affordable column alone.
     """
-    i = np.flatnonzero(cost <= budget + _FEAS_EPS)
-    if not len(i):
+    ok = cost <= budget + _FEAS_EPS
+    if not ok.any():
         return None
-    k, theta = i, np.ones(len(i))  # weight theta on column i, 1 - theta on k
-    hi = np.flatnonzero(cost > budget + _FEAS_EPS)
-    if pairs and len(hi):
-        a, b = np.repeat(i, len(hi)), np.tile(hi, len(i))
-        theta = np.concatenate([theta, np.minimum((cost[b] - budget) / (cost[b] - cost[a]), 1.0)])
-        i, k = np.concatenate([i, a]), np.concatenate([k, b])
-    mixed = theta * value[i] + (1.0 - theta) * value[k]
-    m = int(np.argmin(mixed))
+    if pairs:
+        hull = _lower_hull(cost, value)
+        pos = int(np.searchsorted(cost[hull], budget + _FEAS_EPS, side="right")) - 1
+        i, k = hull[pos], hull[min(pos + 1, len(hull) - 1)]
+    else:
+        i = k = int(np.flatnonzero(ok)[np.argmin(value[ok])])
+    theta = min((cost[k] - budget) / (cost[k] - cost[i]), 1.0) if k != i else 1.0
     p = np.zeros(len(cost))
-    p[i[m]] += theta[m]
-    p[k[m]] += 1.0 - theta[m]
-    return float(mixed[m]), p
+    p[i] += theta
+    p[k] += 1.0 - theta
+    return float(theta * value[i] + (1.0 - theta) * value[k]), p
 
 
 def _infeasible(budget, meta, distortion=None, **why) -> RateCostPoint:
@@ -651,19 +668,12 @@ def solve_noncausal(
     hit = frontier.query(budget)
     if hit is None:
         return _infeasible(budget, meta, min_achievable_cost=frontier.min_cost)
-    obj, _, v_size, policy_id, combo = hit
-    cols = frontier.columns
-    hull_value, p = _hull_read(cols.cost, cols.h, budget, pairs=meta["v_size_max"] >= 2)
-    # unrefined, the grid answer is the swept value up to float32 rounding:
-    # a hull answer clearly below it wins without evaluating the grid point
-    value = np.inf
-    if config.refine_rounds or hull_value > obj - 1e-5:
-        policy = _policy(spec, v_size, policy_id)
-        n = _simplex_grid_size(v_size, config.grid_steps)
-        # combo is mixed-radix over the per-state grid rows, state 0 most significant
-        rows = np.array([_grid_point(v_size, config.grid_steps, combo // n**e % n)
-                         for e in reversed(range(spec.s_size))])
-        rows, value, cost = _refine(spec, policy, rows, budget, config)
+    _, _, v_size, policy_id, combo = hit
+    cols = _columns(spec)
+    policy = _policy(spec, v_size, policy_id)
+    rows = _combo_rows(_simplex_grid(v_size, config.grid_steps), combo, spec.s_size)
+    rows, value, cost = _refine(spec, policy, rows, budget, config)
+    hull_value, p = _hull_read(cols.cost, cols.h, budget, meta["v_size_max"] >= 2)
     meta["from_hull"] = False
     # a hull answer within 1e-12 of the grid's is float dust: keep the grid argmin
     if hull_value < value - 1e-12:
@@ -694,7 +704,7 @@ def solve_causal(
     cols = _columns(spec, config)
     meta = {"mode": "causal", "v_size_max": config.resolved_v_max(spec),
             "columns": len(cols.cost)}
-    hull = _hull_read(cols.cost, cols.h, budget, pairs=meta["v_size_max"] >= 2)
+    hull = _hull_read(cols.cost, cols.h, budget, meta["v_size_max"] >= 2)
     if hull is None:
         return _infeasible(budget, meta, min_achievable_cost=float(cols.cost.min()))
     keep = hull[1] > 0.0
@@ -1032,7 +1042,9 @@ def _lossy_plan(cost, rate, dist, lam_max, budget, distortion_budget):
         return lo[0], lo[2], np.inf
     if hi[1] > distortion_budget + _FEAS_EPS:
         return None
-    for _ in range(_BISECT_STEPS):
+    # each step finds a new frontier vertex, a single or pair hull read (at
+    # most n^2 of them), each moving through at most 2K slope points
+    for _ in range(2 * rate.size * len(cost)):
         lam = (hi[0] - lo[0]) / (lo[1] - hi[1])
         mid = solve_at(lam)
         if mid[0] + lam * mid[1] >= lo[0] + lam * lo[1] - 1e-12:
@@ -1041,6 +1053,8 @@ def _lossy_plan(cost, rate, dist, lam_max, budget, distortion_budget):
             hi = mid
         else:
             lo = mid
+    else:
+        raise IntegrityError("the chord search ran past the frontier's vertex count")
     bound = np.inf
     if lam > lam_max:
         top = solve_at(lam_max)

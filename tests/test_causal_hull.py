@@ -108,6 +108,21 @@ class TestLossyColumnMix:
             assert pt.feasible
             assert abs(pt.rate - linprog_reference(spec, b, d, cfg)) <= 1e-9
 
+    def test_chord_search_walks_a_long_frontier(self):
+        """One column whose 60 segments halve in length as their slopes grow:
+        each chord then meets the frontier next to its zero-rate end, so the
+        search advances one vertex per step (some 40 steps here, where
+        random specs take about 10), and still lands on the frontier at the
+        distortion budget."""
+        seg = 0.5 ** np.arange(1, 61)
+        dist = np.concatenate([[1.0], 1.0 - np.cumsum(seg)])
+        rate = np.concatenate([[0.0], np.cumsum(np.arange(1, 61) * seg)])
+        for k in (30, 55):
+            d = dist[k] - 0.3 * seg[k]
+            value, p, _ = solver._lossy_plan(np.zeros(1), rate[None], dist[None], np.inf, 0.0, d)
+            assert p.tolist() == [1.0]
+            assert abs(value - np.interp(d, dist[::-1], rate[::-1])) <= 1e-12
+
     def test_v_size_max_ranks_column_subsets(self):
         """A spec whose unrestricted mix needs three columns (one in the 400
         random |S| = 1 specs searched for it) answers with two at

@@ -5,7 +5,6 @@ search tolerances follow the documented accuracy model (about one grid
 step of slack, tightened by refinement).
 """
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -203,26 +202,6 @@ def box_spec(rng):
         channel=ch / ch.sum(axis=-1, keepdims=True),
         cost=rng.random((a, s, y)),
     )
-
-
-def loop_simplex_grid(k, steps):
-    """The row-by-row stars-and-bars enumeration, kept as the reference."""
-    pts = []
-    for cuts in itertools.combinations(range(steps + k - 1), k - 1):
-        prev, row = -1, []
-        for c in cuts:
-            row.append(c - prev - 1)
-            prev = c
-        pts.append(row + [steps + k - 2 - prev])
-    return np.array(pts, dtype=float) / steps
-
-
-def test_simplex_grid_matches_the_loop():
-    for k in range(1, 6):
-        for steps in (2, 6, 15):
-            grid = solver._simplex_grid(k, steps)
-            assert np.array_equal(grid, loop_simplex_grid(k, steps))
-            assert len(grid) == solver._simplex_grid_size(k, steps)
 
 
 class TestDistinctColumns:
