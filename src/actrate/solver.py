@@ -102,16 +102,19 @@ _N_BUCKETS = 4096
 
 DEFAULT_LAGRANGE_SWEEP = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
-# Blahut iterations stop once every rate moves by less than _BA_TOL bits.
+# A Blahut row stops once its certificate, log2 max_yhat c(yhat), proves its
+# kernel's R + beta * D within _BA_TOL bits of the optimum. _BA_MAX_ITER is
+# a guard; every _BA_NEWTON-th update is a safeguarded Newton step.
 _BA_TOL = 1e-9
 _BA_MAX_ITER = 500
+_BA_NEWTON = 4
 
 # Multiplier bisection: _BISECT_STEPS halvings, solved _BISECT_DEPTH levels
-# (a subtree of 2**depth - 1 midpoints) per grouped Blahut call.
+# (a subtree of 2**depth - 1 midpoints) per Blahut call.
 _BISECT_STEPS = 60
 _BISECT_DEPTH = 6
 
-# Cell sets (policies, or bound candidates) per grouped Blahut call; bounds
+# Cell sets (columns, or bound candidates) per Blahut call; bounds
 # the call's memory at about _CURVE_BATCH * cells * lambda_grid rows.
 _CURVE_BATCH = 256
 
@@ -836,60 +839,108 @@ def brute_force_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _ba_rd_lagrangian(p_y: np.ndarray, d: np.ndarray, beta: np.ndarray, group: np.ndarray):
-    """Grouped Blahut iteration for min I(Y;Yhat) + beta * E[d], one problem per row.
+def _ba_rd_lagrangian(p_y: np.ndarray, d: np.ndarray, beta: np.ndarray):
+    """Blahut iteration for min I(Y;Yhat) + beta * E[d], one problem per row.
 
-    ``p_y`` is (n, y), ``beta`` (n,) slopes in nats per distortion unit and
-    ``group`` (n,) integer ids in 0..G-1. The rows of a group stop together,
-    once every rate in the group moves by less than _BA_TOL bits between
-    updates (or after _BA_MAX_ITER updates), so each group's result equals
-    that of a call on its rows alone. A group that stops keeps its kernel
-    and leaves the active arrays, which are laid out (y, yhat, rows) so the
-    problem axis stays last and contiguous.
+    ``p_y`` is (n, y) and ``beta`` (n,) slopes in nats per distortion unit.
+    With w = exp(-beta * d) and an output law q, an update forms the kernel
+    q(yhat) w(y, yhat) / c_y, with c_y = sum_yhat q w, and the ratios
+    c(yhat) = sum_y p(y) w(y, yhat) / c_y, then sets q <- q * c. That
+    kernel's R + beta * D lies at most log max_yhat c above the optimum
+    (Blahut, IEEE T-IT 18(4), 1972), so a row stops, keeping the kernel,
+    once log2 max c <= _BA_TOL, or after _BA_MAX_ITER updates.
 
-    Returns (rate_bits, distortion, q_cond (n, y, yhat), iters (G,)), with
-    iters the number of updates each group ran; rate and distortion are
-    recomputed exactly from the final kernel, so they reproduce under
-    re-evaluation.
+    A row whose best constant reconstruction yhat* is already optimal
+    (Blahut's zero-rate condition: sum_y p(y) exp(-beta (d(y, yhat) -
+    d(y, yhat*))) <= 1 for every yhat, which is the certificate at q =
+    yhat*) is answered by the one-hot kernel on yhat* with no update. Every
+    _BA_NEWTON-th update tries a Newton step instead (``_ba_newton``). Rows
+    never interact, so a row's result does not depend on its batch. The
+    arrays are laid out (y, yhat, rows), rows last and contiguous, and a
+    row that stops leaves them.
+
+    Returns (rate_bits, distortion, q_cond (n, y, yhat), iters (n,), gap
+    (n,)): iters counts each row's updates (0 for an anchor row) and gap is
+    its final certificate in bits. Rate and distortion are recomputed
+    exactly from the final kernel, so they reproduce under re-evaluation.
     """
-    yhat_size = d.shape[1]
+    n = len(beta)
     p_all = np.ascontiguousarray(p_y.T)[:, None, :]  # (y, 1, n)
-    p = p_all
-    w = np.exp(-beta[None, None, :] * d[:, :, None])  # (y, yhat, n)
-    q_out = np.full((yhat_size, len(beta)), 1.0 / yhat_size)
-    q_final = np.empty(d.shape + (len(beta),))
-    iters = np.full(int(group.max()) + 1, _BA_MAX_ITER)
-    rows = np.arange(len(beta))
-    prev_rate = None
-    with np.errstate(divide="ignore", invalid="ignore"):
+    q_final = np.zeros(d.shape + (n,))
+    iters, gap = np.zeros(n, dtype=int), np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        const = (p_all * d[:, :, None]).sum(axis=0)  # (yhat, n)
+        star = const.argmin(axis=0)
+        # exponent differences: no term underflows where d(y, yhat*) is large
+        ratio = (p_all * np.exp(-beta * (d[:, :, None] - d[:, star][:, None, :]))).sum(axis=0)
+        anchor = ratio.max(axis=0) <= ratio[star, np.arange(n)]
+        q_final[:, star[anchor], np.flatnonzero(anchor)] = 1.0
+
+        live = np.flatnonzero(~anchor)
+        p = np.ascontiguousarray(p_all[:, :, live])
+        # w scaled per y by exp(beta * min d): neither the kernel nor c moves
+        w = np.exp(-beta[live] * (d - d.min(axis=1, keepdims=True))[:, :, None])
+        q = np.full((d.shape[1], len(live)), 1.0 / d.shape[1])
         for it in range(1, _BA_MAX_ITER + 1):
-            scores = q_out[None, :, :] * w
-            denom = scores.sum(axis=1, keepdims=True)
-            np.maximum(denom, 1e-300, out=denom)
-            q_cond = scores / denom
-            joint = p * q_cond
-            q_out = joint.sum(axis=0)
-            rate = _mi_of_kernel(joint, q_cond, q_out)
-            if prev_rate is not None:
-                moving = np.zeros(len(iters), dtype=bool)
-                moving[group[~(np.abs(rate - prev_rate) < _BA_TOL)]] = True
-                stop = ~moving[group]
-                if np.any(stop):
-                    q_final[:, :, rows[stop]] = q_cond[:, :, stop]
-                    iters[group[stop]] = it
-                    keep = ~stop
-                    rows, group, rate = rows[keep], group[keep], rate[keep]
-                    # boolean indexing on the last axis returns F-ordered strides
-                    p, w, q_cond = (np.ascontiguousarray(a[:, :, keep]) for a in (p, w, q_cond))
-                    q_out = np.ascontiguousarray(q_out[:, keep])
-                    if not len(rows):
-                        break
-            prev_rate = rate
-        q_final[:, :, rows] = q_cond
+            if not len(live):
+                break
+            scores = q[None, :, :] * w
+            c_y = np.maximum(scores.sum(axis=1, keepdims=True), 1e-300)
+            c = (p * w / c_y).sum(axis=0)
+            cert = np.log2(c.max(axis=0))
+            stop = (cert <= _BA_TOL) | (it == _BA_MAX_ITER)
+            if np.any(stop):
+                q_final[:, :, live[stop]] = scores[:, :, stop] / c_y[:, :, stop]
+                iters[live[stop]], gap[live[stop]] = it, np.maximum(cert[stop], 0.0)
+                keep = ~stop
+                live = live[keep]
+                # boolean indexing on the last axis returns F-ordered strides
+                p, w, c_y = (np.ascontiguousarray(a[:, :, keep]) for a in (p, w, c_y))
+                q, c = np.ascontiguousarray(q[:, keep]), np.ascontiguousarray(c[:, keep])
+            if it % _BA_NEWTON:
+                q = q * c
+            else:
+                q = _ba_newton(p, w, q, c, c_y)
         joint = p_all * q_final
         rate = _mi_of_kernel(joint, q_final, joint.sum(axis=0))
+    rate[anchor] = 0.0
     dist = (joint * d[:, :, None]).sum(axis=(0, 1))
-    return rate, dist, np.ascontiguousarray(np.moveaxis(q_final, 2, 0)), iters
+    dist[anchor] = const[star, np.arange(n)][anchor]
+    return rate, dist, np.ascontiguousarray(np.moveaxis(q_final, 2, 0)), iters, gap
+
+
+def _ba_newton(p, w, q, c, c_y):
+    """One safeguarded active-set Newton step on G(q) = -sum_y p(y) ln c_y.
+
+    G is convex on the simplex, with gradient -c and Hessian
+    sum_y p(y) w(y, .) w(y, .)^T / c_y^2; its least value is the least
+    R + beta * D. The free set holds the yhat with q above 1e-9 of the
+    row's largest entry or with c > 1 (where G falls as q grows); the rest
+    stay put. The step solves the equality-constrained quadratic model on
+    the free set (a KKT system, its Hessian block lifted by 1e-10 of its
+    diagonal so that it is never singular), shortened so that q stays
+    >= 0. Rows where it does not lower G take the Blahut update q * c
+    instead. Plain updates crawl near a row's critical slope (Yu, IEEE
+    T-IT 56(7), 2010); this step lands on the optimal face there, where it
+    may set an entry of q to 0.
+    """
+    k, m = q.shape
+    free = (q > 1e-9 * q.max(axis=0)) | (c > 1.0)  # (yhat, rows)
+    u = np.sqrt(p) * w / c_y
+    hess = (u[:, :, None, :] * u[:, None, :, :]).sum(axis=0)  # (yhat, yhat, rows)
+    eye = np.eye(k)[:, :, None]
+    hess = np.where(free[:, None, :] & free[None, :, :], hess * (1.0 + 1e-10 * eye), 0.0)
+    kkt = np.zeros((m, k + 1, k + 1))
+    kkt[:, :k, :k] = np.moveaxis(hess + eye * ~free[None, :, :], 2, 0)
+    kkt[:, :k, k] = kkt[:, k, :k] = free.T
+    rhs = np.zeros((m, k + 1, 1))
+    rhs[:, :k, 0] = (c * free).T
+    step = np.linalg.solve(kkt, rhs)[:, :k, 0].T
+    room = np.where(step < 0.0, q / -step, np.inf).min(axis=0)
+    trial = np.maximum(q + np.minimum(room, 1.0) * step, 0.0)
+    g_now = -xlogy(p[:, 0], c_y[:, 0]).sum(axis=0)
+    g_trial = -xlogy(p[:, 0], (trial[None, :, :] * w).sum(axis=1)).sum(axis=0)
+    return np.where(g_trial <= g_now, trial, q * c)
 
 
 def _mi_of_kernel(joint, q_cond, q_out):
@@ -918,30 +969,28 @@ def _const_dist(cells, d_table) -> np.ndarray:
 def _cell_curves(cell_sets, d_table, slopes):
     """Per-cell (rate, distortion) at every slope, for a list of cell sets.
 
-    Grouped Blahut calls of up to _CURVE_BATCH sets: each set's cells x
-    slopes rows form one group and stop together, so a set's curves equal
-    those of a call on that set alone. Returns ([(rate_k, dist_k)] with
-    both of shape (cells, K), one pair per set, and the (sets,) iteration
-    counts). Column 0 holds the exact zero-rate anchor, the best constant
-    reconstruction per cell, instead of the Blahut value at slope 0.
+    Blahut calls of up to _CURVE_BATCH sets, one row per cell and slope;
+    every row stops on its own certificate, so a set's curves equal those
+    of a call on that set alone. Returns ([(rate_k, dist_k)] with both of
+    shape (cells, K), one pair per set, and per set the most updates and
+    the largest certified gap of its rows). Column 0 (slope 0) is the
+    zero-rate anchor, the best constant reconstruction per cell.
     """
     k = len(slopes)
-    curves, iters = [], []
+    curves, iters, gaps = [], [], []
     for start in range(0, len(cell_sets), _CURVE_BATCH):
         batch = cell_sets[start:start + _CURVE_BATCH]
         sizes = [len(c) for c in batch]
         cells = np.concatenate(batch)
-        rate, dist, _, batch_iters = _ba_rd_lagrangian(
+        rate, dist, _, row_iters, row_gap = _ba_rd_lagrangian(
             np.repeat(cells, k, axis=0), d_table, np.tile(slopes, len(cells)),
-            np.repeat(np.arange(len(sizes)), np.multiply(sizes, k)),
         )
-        rate, dist = rate.reshape(-1, k), dist.reshape(-1, k)
-        rate[:, 0] = 0.0
-        dist[:, 0] = _const_dist(cells, d_table).min(axis=1)
-        cuts = np.cumsum(sizes)[:-1]
-        curves += zip(np.split(rate, cuts), np.split(dist, cuts))
-        iters.append(batch_iters)
-    return curves, np.concatenate(iters)
+        firsts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        iters.append(np.maximum.reduceat(row_iters, firsts * k))
+        gaps.append(np.maximum.reduceat(row_gap, firsts * k))
+        curves += zip(np.split(rate.reshape(-1, k), firsts[1:]),
+                      np.split(dist.reshape(-1, k), firsts[1:]))
+    return curves, np.concatenate(iters), np.concatenate(gaps)
 
 
 def _rd_bisect(cells, w, d_table, distortion_budget, config):
@@ -955,9 +1004,9 @@ def _rd_bisect(cells, w, d_table, distortion_budget, config):
     Otherwise _BISECT_STEPS halvings of [0, lambda_max] pick the least
     multiplier that meets the budget. Each call solves a whole subtree: the
     2**d - 1 midpoints that the next d = _BISECT_DEPTH halvings could visit,
-    each computed as 0.5 * (lo + hi) exactly as a serial loop would, one
-    group per midpoint. The descent then makes the serial comparisons, so
-    the result is that of serial bisection in 1 + _BISECT_STEPS / d calls.
+    each computed as 0.5 * (lo + hi) exactly as a serial loop would. Blahut
+    rows never interact, so the descent, making the serial comparisons,
+    gives the result of serial bisection in 1 + _BISECT_STEPS / d calls.
     """
     n_cells = len(cells)
     d0_cells = _const_dist(cells, d_table)
@@ -968,10 +1017,9 @@ def _rd_bisect(cells, w, d_table, distortion_budget, config):
         return 0.0, q0, 0
 
     def solve_at(betas):
-        """Per-multiplier cell rates, distortions and kernels, one group each."""
-        rate_c, dist_c, q_c, _ = _ba_rd_lagrangian(
-            np.tile(cells, (len(betas), 1)), d_table, np.repeat(betas, n_cells),
-            np.repeat(np.arange(len(betas)), n_cells),
+        """Per-multiplier cell rates, distortions and kernels."""
+        rate_c, dist_c, q_c, *_ = _ba_rd_lagrangian(
+            np.tile(cells, (len(betas), 1)), d_table, np.repeat(betas, n_cells)
         )
         return (rate_c.reshape(len(betas), n_cells), dist_c.reshape(len(betas), n_cells),
                 q_c.reshape((len(betas), n_cells) + d_table.shape))
@@ -1072,20 +1120,25 @@ def solve_lossy_causal(
     """Minimize I(Y; Yhat | V, Z) subject to cost and distortion budgets.
 
     The inner reconstruction problem decomposes per (v, z) cell, and a
-    cell's output law depends only on v's action column. One grouped Blahut
-    call traces each column's rate-distortion curve on a common multiplier
-    grid, with a zero-rate anchor (the best constant reconstruction per
-    cell) at slope 0. ``_lossy_plan`` mixes the curves into p(v) over at
-    most v_size_max columns (ranking the column subsets of that size when
-    the mix needs more), and exact multiplier bisection finishes that p(v).
+    cell's output law depends only on v's action column. One Blahut call
+    traces each column's rate-distortion curve on a common multiplier grid,
+    each (cell, slope) row stopping once Blahut's certificate puts its
+    R + beta * D within _BA_TOL bits of the optimum; at slope 0, and below
+    each cell's critical slope, that is the zero-rate anchor (the best
+    constant reconstruction per cell). ``_lossy_plan`` mixes the curves
+    into p(v) over at most v_size_max columns (ranking the column subsets
+    of that size when the mix needs more), and exact multiplier bisection
+    finishes that p(v).
     Infeasible (budget, distortion) pairs return a typed infeasible point;
     a distortion budget that needs multipliers above ``lambda_max``, by
     more than 1e-9 in rate, raises IntegrityError.
 
     The metadata reports the inner work: ``blahut_iters`` (the most Blahut
-    updates any column's curves took), ``blahut_capped`` (how many columns
-    ran all _BA_MAX_ITER updates) and ``bisect_calls`` (Blahut calls of the
-    final bisection, 0 when the zero-rate anchor answers).
+    updates any curve point took), ``blahut_capped`` (how many columns have
+    a curve point that ran all _BA_MAX_ITER updates, uncertified),
+    ``blahut_gap_max`` (the largest certified gap, in bits, over the curve
+    points) and ``bisect_calls`` (Blahut calls of the final bisection, 0
+    when the zero-rate anchor answers).
     """
     _check_budgets(budget=budget, distortion_budget=distortion_budget)
     if spec.distortion is None:
@@ -1099,15 +1152,16 @@ def solve_lossy_causal(
     meta = {
         "mode": "lossy-causal", "v_size_max": v_max, "columns": n,
         "lambda_max": config.lambda_max, "lambda_grid": config.lambda_grid,
-        "blahut_iters": 0, "blahut_capped": 0, "bisect_calls": 0,
+        "blahut_iters": 0, "blahut_capped": 0, "blahut_gap_max": 0.0, "bisect_calls": 0,
     }
     if not np.any(cols.cost <= budget + _FEAS_EPS):
         return _infeasible(budget, meta, float(distortion_budget),
                            reason="no action choice meets the cost budget")
     slopes = _slopes(config)
-    curves, iters = _cell_curves(list(cols.cells), d_table, slopes)
+    curves, iters, gaps = _cell_curves(list(cols.cells), d_table, slopes)
     meta["blahut_iters"] = int(iters.max())
     meta["blahut_capped"] = int(np.count_nonzero(iters >= _BA_MAX_ITER))
+    meta["blahut_gap_max"] = float(gaps.max())
     rate = np.array([p_z @ r for r, _ in curves])  # (n, K)
     dist = np.array([p_z @ d for _, d in curves])
     lam_max = float(slopes[-1] / _LN2)
@@ -1264,7 +1318,7 @@ def evaluate_lossy_bounds(
     def flush_si_both():
         """Evaluate the buffered si-both candidates, in order, in one call."""
         nonlocal sib_winner
-        curves, _ = _cell_curves([c[0] for c in sib_batch], d_table, slopes)
+        curves = _cell_curves([c[0] for c in sib_batch], d_table, slopes)[0]
         for (cells, w, i_vs_z, policy, rows), (rate_k, dist_k) in zip(sib_batch, curves):
             # the rate at the first slope that meets the distortion budget
             ok = np.flatnonzero(w @ dist_k <= distortion_budget + _FEAS_EPS)

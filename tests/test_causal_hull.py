@@ -48,7 +48,7 @@ def random_spec(rng, s_sizes=(1, 2), distortion=True):
 def column_curves(spec, config):
     """The column table and each column's (rate, distortion) curve points."""
     cols = solver._columns(spec)
-    curves, _ = solver._cell_curves(list(cols.cells), spec.distortion, solver._slopes(config))
+    curves = solver._cell_curves(list(cols.cells), spec.distortion, solver._slopes(config))[0]
     p_z = spec.side_info_marginal
     return cols, np.array([p_z @ r for r, _ in curves]), np.array([p_z @ d for _, d in curves])
 
