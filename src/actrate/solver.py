@@ -4,8 +4,8 @@ The causal patterns are solved exactly: V is committed before the states
 arrive, so every per-v quantity depends only on v's action column (a map
 S -> A). ``solve_causal`` reads the lower convex hull of the column points
 (c_j, H(Y|Z) under j) at the budget; ``solve_lossy_causal`` mixes the
-columns' rate-distortion curves and finishes the mix by exact multiplier
-bisection. Neither uses ``grid_steps`` or ``refine_rounds``.
+columns' rate-distortion curves through the Lagrangian dual in the
+distortion multiplier. Neither uses ``grid_steps`` or ``refine_rounds``.
 
 The non-causal objective is not jointly convex in p(v|s), so
 ``solve_noncausal`` does a certifiable enumeration instead of descent:
@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import DomainError, IntegrityError, SearchSpaceError, UsageError
+from .errors import DomainError, SearchSpaceError, UsageError
 from .kernel import entropy_bits
 from .model import (
     ActionPolicy,
@@ -109,10 +109,11 @@ _BA_TOL = 1e-9
 _BA_MAX_ITER = 500
 _BA_NEWTON = 4
 
-# Multiplier bisection: _BISECT_STEPS halvings, solved _BISECT_DEPTH levels
-# (a subtree of 2**depth - 1 midpoints) per Blahut call.
-_BISECT_STEPS = 60
-_BISECT_DEPTH = 6
+# exp(-x) is exactly 0.0 in float64 for x >= _EXP_UNDERFLOW.
+_EXP_UNDERFLOW = 746.0
+
+# Multipliers per Blahut call of the lossy dual search, after its ladder.
+_DUAL_POINTS = 15
 
 # Cell sets (columns, or bound candidates) per Blahut call; bounds
 # the call's memory at about _CURVE_BATCH * cells * lambda_grid rows.
@@ -132,9 +133,10 @@ class SolveConfig:
     objectives) when left as None. ``search_limit`` bounds the grid
     evaluations a sweep may request and the column points a causal solve
     reads; bound searches with inner enumerations are charged a 64x weight
-    for their per-point cost. ``lambda_grid`` is the multiplier-grid size
-    for the lossy inner problems (the winning candidate is re-solved by
-    exact bisection, so it only affects argmin selection).
+    for their per-point cost. ``lambda_grid`` and ``lambda_max`` shape
+    only the si-both screen of the lossy bounds, its multiplier grid (the
+    winning candidate is re-solved exactly, so they only affect which
+    candidate wins); ``solve_lossy_causal`` reads neither.
     """
 
     grid_steps: int = 32
@@ -919,10 +921,13 @@ def _ba_newton(p, w, q, c, c_y):
     stay put. The step solves the equality-constrained quadratic model on
     the free set (a KKT system, its Hessian block lifted by 1e-10 of its
     diagonal so that it is never singular), shortened so that q stays
-    >= 0. Rows where it does not lower G take the Blahut update q * c
-    instead. Plain updates crawl near a row's critical slope (Yu, IEEE
+    >= 0. Plain updates crawl near a row's critical slope (Yu, IEEE
     T-IT 56(7), 2010); this step lands on the optimal face there, where it
-    may set an entry of q to 0.
+    may set an entry of q to 0. No Blahut update revives such an entry, so
+    where the trial leaves the largest c on one (G falls fastest as that
+    entry grows), it then steps toward that entry, a Frank-Wolfe step
+    whose length is one Newton step on G along the line. Rows where the
+    trial does not lower G take the Blahut update q * c instead.
     """
     k, m = q.shape
     free = (q > 1e-9 * q.max(axis=0)) | (c > 1.0)  # (yhat, rows)
@@ -938,6 +943,17 @@ def _ba_newton(p, w, q, c, c_y):
     step = np.linalg.solve(kkt, rhs)[:, :k, 0].T
     room = np.where(step < 0.0, q / -step, np.inf).min(axis=0)
     trial = np.maximum(q + np.minimum(room, 1.0) * step, 0.0)
+    # a Blahut update keeps a zero entry at 0: where the largest c sits on
+    # one, step from the trial toward it (Frank-Wolfe, its length one Newton
+    # step along the line)
+    c_y_trial = (trial[None, :, :] * w).sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_trial = (p * w / c_y_trial).sum(axis=0)
+    top, rows = c_trial.argmax(axis=0), np.arange(m)
+    slope = (w[:, top, rows][:, None, :] - c_y_trial) / c_y_trial  # (y, 1, rows)
+    t = np.clip((c_trial[top, rows] - 1.0) / (p * slope**2).sum(axis=(0, 1)), 0.0, 1.0)
+    t = np.where(trial[top, rows] <= 1e-9 * trial.max(axis=0), t, 0.0)
+    trial = (1.0 - t) * trial + t * (np.arange(k)[:, None] == top)
     g_now = -xlogy(p[:, 0], c_y[:, 0]).sum(axis=0)
     g_trial = -xlogy(p[:, 0], (trial[None, :, :] * w).sum(axis=1)).sum(axis=0)
     return np.where(g_trial <= g_now, trial, q * c)
@@ -955,19 +971,17 @@ def _mi_of_kernel(joint, q_cond, q_out):
 
 
 def _slopes(config) -> np.ndarray:
-    """Shared multiplier grid in nats; index 0 is the exact zero-rate anchor."""
+    """The si-both screen's multiplier grid in nats; index 0 is the exact
+    zero-rate anchor."""
     return np.concatenate(
         [[0.0], np.geomspace(1e-3, config.lambda_max, config.lambda_grid - 1)]
     ) * _LN2
 
 
-def _const_dist(cells, d_table) -> np.ndarray:
-    """Distortion of each constant reconstruction per cell, shape (cells, yhat)."""
-    return (cells[:, :, None] * d_table[None, :, :]).sum(1)
-
-
 def _cell_curves(cell_sets, d_table, slopes):
-    """Per-cell (rate, distortion) at every slope, for a list of cell sets.
+    """Per-cell (rate, distortion) at every slope, for a list of cell sets:
+    the si-both screen of ``evaluate_lossy_bounds``, which ranks candidates
+    by the first slope that meets the distortion budget.
 
     Blahut calls of up to _CURVE_BATCH sets, one row per cell and slope;
     every row stops on its own certificate, so a set's curves equal those
@@ -993,122 +1007,134 @@ def _cell_curves(cell_sets, d_table, slopes):
     return curves, np.concatenate(iters), np.concatenate(gaps)
 
 
-def _rd_bisect(cells, w, d_table, distortion_budget, config):
-    """Exact common-multiplier bisection for the cell mixture ``w``.
+class _Read(NamedTuple):
+    """The hull read of the column points (c_j, g_j(lam)) at one multiplier."""
 
-    Returns (rate, q, calls): q holds the (cells, y, yhat) reconstruction
-    kernels and calls counts the Blahut calls made. The zero-rate anchor
-    answers, with no call, whenever a constant reconstruction per cell
-    already meets the distortion budget.
+    lam: float  # bits per unit distortion
+    p: np.ndarray  # (n,) column weights
+    dist: float  # p @ D_j
+    kernels: np.ndarray  # (n, m, y, yhat): every column's Blahut kernels
+    dual: float  # L(lam) = p @ R_j + lam * (dist - D'), D' = D + _FEAS_EPS
+    lowered: np.ndarray  # (n,) each g_j(lam) lowered by its Blahut gap
 
-    Otherwise _BISECT_STEPS halvings of [0, lambda_max] pick the least
-    multiplier that meets the budget. Each call solves a whole subtree: the
-    2**d - 1 midpoints that the next d = _BISECT_DEPTH halvings could visit,
-    each computed as 0.5 * (lo + hi) exactly as a serial loop would. Blahut
-    rows never interact, so the descent, making the serial comparisons,
-    gives the result of serial bisection in 1 + _BISECT_STEPS / d calls.
+
+class _LossyMix(NamedTuple):
+    rate: float
+    keep: np.ndarray  # the columns used
+    p: np.ndarray  # their weights
+    kernels: np.ndarray  # their (m, y, yhat) kernels
+    dual_gap: float  # rate minus the certified dual bound
+
+
+def _blahut_meta() -> dict:
+    """Counters of a lossy inner solve, updated by ``_lossy_dual``."""
+    return {"blahut_iters": 0, "blahut_capped": 0, "blahut_gap_max": 0.0, "bisect_calls": 0}
+
+
+def _lossy_dual(cells, weights, cost, d_table, budget, distortion_budget, meta):
+    """The least rate sum_j p_j R_j(q_j) over column weights p with
+    p @ cost <= budget and kernels q_j meeting the distortion budget, or
+    None when no mixture meets both budgets.
+
+    Column j has the cells ``cells[j]`` (an (m, y) stack), weighted by
+    ``weights`` (m,): R_j and D_j are the weighted sums of its cells' rates
+    and distortions. Both sides answer D' = D + _FEAS_EPS, the budget of
+    the feasibility test. The problem is convex, and its Lagrangian dual
+    L(lam) = [hull read at the budget of (c_j, g_j(lam))] - lam * D', with
+    g_j(lam) = min R_j + lam * D_j, is concave in lam with supergradient
+    (read's distortion) - D'. One Blahut call evaluates g at a batch of
+    multipliers: first the ladder 0, 2^-10, 2^-9, ..., lam_top, inf, then
+    _DUAL_POINTS evenly spaced multipliers inside the bracket [lo, hi],
+    where lo is the last read that misses D' and hi the first that meets
+    it. At lam = 0 and lam = inf the read is that of the columns'
+    distortions alone (the limits of the scaled values).
+    lam_top is the least power of two at which w = exp(-beta * (d - min d))
+    is exactly the indicator of each row's least distortions (beta times the
+    table's least positive gap reaches _EXP_UNDERFLOW). Blahut runs at
+    min(lam, lam_top): above lam_top it returns the same kernels, those of
+    least rate on the floor.
+
+    The primal mixes the reads at lo and hi to meet D'. A column in both
+    keeps one kernel per cell, the weighted average of its two: I(Y;Yhat)
+    is convex in the kernel, so this never raises the rate, and the
+    distortion is linear in it. With a the mix weight, the mix's rate
+    lies at most (hi - lo) * a * (dist_lo - D') above
+    max(L(lo), L(hi)), so the search stops once the rate is within _BA_TOL
+    of the best dual value (or the bracket cannot split further).
+    ``dual_gap`` is the rate minus the best dual value with each g_j
+    lowered by its Blahut certificate, so at most 2 * _BA_TOL.
     """
-    n_cells = len(cells)
-    d0_cells = _const_dist(cells, d_table)
-    best_const = d0_cells.argmin(axis=1)
-    if float(w @ d0_cells[np.arange(n_cells), best_const]) <= distortion_budget + _FEAS_EPS:
-        q0 = np.zeros((n_cells,) + d_table.shape)
-        q0[np.arange(n_cells), :, best_const] = 1.0
-        return 0.0, q0, 0
-
-    def solve_at(betas):
-        """Per-multiplier cell rates, distortions and kernels."""
-        rate_c, dist_c, q_c, *_ = _ba_rd_lagrangian(
-            np.tile(cells, (len(betas), 1)), d_table, np.repeat(betas, n_cells)
-        )
-        return (rate_c.reshape(len(betas), n_cells), dist_c.reshape(len(betas), n_cells),
-                q_c.reshape((len(betas), n_cells) + d_table.shape))
-
-    beta_hi = config.lambda_max * _LN2
-    rate_c, dist_c, q_c = solve_at(np.array([beta_hi]))
-    if float(w @ dist_c[0]) > distortion_budget + 1e-9:
-        raise IntegrityError(
-            f"distortion {distortion_budget} unreachable at lambda_max={config.lambda_max}"
-        )
-    rate, q, calls = float(w @ rate_c[0]), q_c[0], 1
-    lo, hi = 0.0, beta_hi
-    for done in range(0, _BISECT_STEPS, _BISECT_DEPTH):
-        depth = min(_BISECT_DEPTH, _BISECT_STEPS - done)
-        # heap order: node i halves spans[i]; child 2i+1 follows a feasible
-        # midpoint (hi = mid), child 2i+2 an infeasible one (lo = mid)
-        spans, mids = [(lo, hi)], []
-        for i in range(2**depth - 1):
-            a, b = spans[i]
-            mids.append(0.5 * (a + b))
-            spans += [(a, mids[i]), (mids[i], b)]
-        rate_c, dist_c, q_c = solve_at(np.array(mids))
-        calls += 1
-        node = 0
-        for _ in range(depth):
-            if float(w @ dist_c[node]) <= distortion_budget + _FEAS_EPS:
-                hi, rate, q = mids[node], float(w @ rate_c[node]), q_c[node]
-                node = 2 * node + 1
-            else:
-                lo = mids[node]
-                node = 2 * node + 2
-    return rate, q, calls
-
-
-def _lossy_plan(cost, rate, dist, lam_max, budget, distortion_budget):
-    """(rate, column weights, bound) of the least-rate mixture of the curve
-    points (``rate``, ``dist``: (n, K)) within both budgets, or None.
-
-    Its (distortion, rate) frontier is convex and piecewise linear; the hull
-    read at multiplier lam, each column at its least rate + lam * distortion
-    point, lands on it where the slope is -lam. From the ends lam = 0 (the
-    zero-rate anchors) and lam = inf (least distortion), each step reads the
-    hull at the slope of the chord between the pair: a point below the chord
-    replaces the end on its side of the budget, and none makes the chord
-    part of the frontier (Eisner and Severance, J. ACM 23(4), 1976). The pair
-    is mixed to meet the budget exactly. A chord slope above ``lam_max``, the
-    curves' top slope, sets ``bound`` (else inf): past its top slope each
-    convex curve lies above its tangent R_top + lam_max * (D_top - d), so no
-    mixture beats the Lagrangian at lam_max read at the budget.
-    """
-    cols = np.arange(len(cost))
-    if not np.any(cost <= budget + _FEAS_EPS):
+    target = distortion_budget + _FEAS_EPS
+    const = cells @ d_table  # (n, m, yhat): each constant reconstruction
+    floor = _hull_read(cost, cells @ d_table.min(axis=1) @ weights, budget)
+    if floor is None or floor[0] > target:
         return None
+    zero = _hull_read(cost, const.min(axis=2) @ weights, budget)
+    if zero[0] <= target:
+        keep = np.flatnonzero(zero[1] > 0.0)
+        one_hot = np.eye(d_table.shape[1])[const[keep].argmin(axis=2)]  # (j, m, yhat)
+        kernels = np.repeat(one_hot[:, :, None, :], d_table.shape[0], axis=2)
+        return _LossyMix(0.0, keep, zero[1][keep], kernels, 0.0)
 
-    def solve_at(lam):
-        """(rate, distortion, weights) of the hull read at multiplier lam."""
-        if lam == 0.0:
-            k, value = 0 * cols, dist[:, 0]
-        else:
-            score = dist if lam == np.inf else rate + lam * dist
-            k = np.argmin(score, axis=1)
-            value = score[cols, k]
-        p = _hull_read(cost, value, budget)[1]
-        return float(p @ rate[cols, k]), float(p @ dist[cols, k]), p
+    gaps = d_table - d_table.min(axis=1, keepdims=True)
+    top = math.ceil(math.log2(_EXP_UNDERFLOW / _LN2 / gaps[gaps > 0.0].min()))
+    lam_top = 2.0**top
+    n, m, y_size = cells.shape
 
-    lo, hi = solve_at(0.0), solve_at(np.inf)
-    if lo[1] <= distortion_budget + _FEAS_EPS:
-        return lo[0], lo[2], np.inf
-    if hi[1] > distortion_budget + _FEAS_EPS:
-        return None
-    # each step finds a new frontier vertex, a single or pair hull read (at
-    # most n^2 of them), each moving through at most 2K slope points
-    for _ in range(2 * rate.size * len(cost)):
-        lam = (hi[0] - lo[0]) / (lo[1] - hi[1])
-        mid = solve_at(lam)
-        if mid[0] + lam * mid[1] >= lo[0] + lam * lo[1] - 1e-12:
-            break
-        if mid[1] <= distortion_budget + _FEAS_EPS:
-            hi = mid
+    def reads_at(lams) -> list[_Read]:
+        rate, dist, q, iters, gap = _ba_rd_lagrangian(
+            np.tile(cells.reshape(-1, y_size), (len(lams), 1)), d_table,
+            np.repeat(np.minimum(lams, lam_top) * _LN2, n * m),
+        )
+        meta["bisect_calls"] += 1
+        meta["blahut_iters"] = max(meta["blahut_iters"], int(iters.max()))
+        meta["blahut_capped"] += int(np.count_nonzero(iters >= _BA_MAX_ITER))
+        meta["blahut_gap_max"] = max(meta["blahut_gap_max"], float(gap.max()))
+        r_col, d_col, g_col = (a.reshape(len(lams), n, m) @ weights for a in (rate, dist, gap))
+        q = q.reshape((len(lams), n) + cells.shape[1:] + d_table.shape[1:])
+        out = []
+        for lam, r, d, g, q_k in zip(lams, r_col, d_col, g_col, q):
+            if lam == np.inf:  # the floor: the read of the distortions alone
+                p = _hull_read(cost, d, budget)[1]
+                out.append(_Read(lam, p, float(p @ d), q_k, -np.inf, r - g))
+                continue
+            p = _hull_read(cost, r + lam * d if lam > 0.0 else d, budget)[1]
+            out.append(_Read(lam, p, float(p @ d), q_k,
+                             float(p @ r + lam * (p @ d - target)), r - g + lam * d))
+        return out
+
+    reads = reads_at(np.concatenate([[0.0], 2.0 ** np.arange(min(top, -10), top + 1), [np.inf]]))
+    while True:
+        # reads[0] (lam = 0) misses the target; the inf read meets it but for float dust
+        i = next((i for i in range(1, len(reads)) if reads[i].dist <= target), len(reads) - 1)
+        lo, hi = reads[i - 1], reads[i]
+        mix = _mix(lo, hi, target, cells, weights)
+        if hi.lam == np.inf:
+            lams = lo.lam * 2.0 ** np.arange(1, _DUAL_POINTS + 1)
         else:
-            lo = mid
-    else:
-        raise IntegrityError("the chord search ran past the frontier's vertex count")
-    bound = np.inf
-    if lam > lam_max:
-        top = solve_at(lam_max)
-        bound = top[0] + lam_max * (top[1] - distortion_budget)
-    a = min(max((distortion_budget - hi[1]) / (lo[1] - hi[1]), 0.0), 1.0)
-    return a * lo[0] + (1.0 - a) * hi[0], a * lo[2] + (1.0 - a) * hi[2], bound
+            lams = np.linspace(lo.lam, hi.lam, _DUAL_POINTS + 2)[1:-1]
+        if (mix.rate - max(r.dual for r in reads) <= _BA_TOL
+                or not lo.lam < lams[0] <= lams[-1] < hi.lam):
+            best = max(reads, key=lambda r: r.dual)
+            certified = _hull_read(cost, best.lowered, budget)[0] - best.lam * target
+            return mix._replace(dual_gap=mix.rate - certified)
+        reads = sorted(reads + reads_at(lams), key=lambda r: r.lam)
+
+
+def _mix(lo, hi, target, cells, weights) -> _LossyMix:
+    """The mixture of two reads with distortion ``target`` (or the nearer
+    end), one averaged kernel per column, its rate recomputed."""
+    a = min(max((target - hi.dist) / (lo.dist - hi.dist), 0.0), 1.0)
+    p_lo, p_hi = a * lo.p, (1.0 - a) * hi.p
+    keep = np.flatnonzero(p_lo + p_hi > 0.0)
+    p = (p_lo + p_hi)[keep]
+    kernels = ((p_lo[keep] / p)[:, None, None, None] * lo.kernels[keep]
+               + (p_hi[keep] / p)[:, None, None, None] * hi.kernels[keep])
+    flat = np.moveaxis(kernels.reshape((-1,) + kernels.shape[2:]), 0, 2)  # (y, yhat, rows)
+    joint = np.moveaxis(cells[keep].reshape(-1, cells.shape[2]), 0, 1)[:, None, :] * flat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = _mi_of_kernel(joint, flat, joint.sum(axis=0)).reshape(len(keep), -1) @ weights
+    return _LossyMix(float(p @ rate), keep, p, kernels, np.nan)
 
 
 def solve_lossy_causal(
@@ -1120,25 +1146,23 @@ def solve_lossy_causal(
     """Minimize I(Y; Yhat | V, Z) subject to cost and distortion budgets.
 
     The inner reconstruction problem decomposes per (v, z) cell, and a
-    cell's output law depends only on v's action column. One Blahut call
-    traces each column's rate-distortion curve on a common multiplier grid,
-    each (cell, slope) row stopping once Blahut's certificate puts its
-    R + beta * D within _BA_TOL bits of the optimum; at slope 0, and below
-    each cell's critical slope, that is the zero-rate anchor (the best
-    constant reconstruction per cell). ``_lossy_plan`` mixes the curves
-    into p(v) over at most v_size_max columns (ranking the column subsets
-    of that size when the mix needs more), and exact multiplier bisection
-    finishes that p(v).
-    Infeasible (budget, distortion) pairs return a typed infeasible point;
-    a distortion budget that needs multipliers above ``lambda_max``, by
-    more than 1e-9 in rate, raises IntegrityError.
+    cell's output law depends only on v's action column, so the rate is a
+    convex program over the column weights p(v) and the cells' kernels.
+    ``_lossy_dual`` solves it through its Lagrangian dual in the distortion
+    multiplier: the hull read of the columns' R + lam * D points at the
+    cost budget, each point a Blahut solve certified within _BA_TOL bits.
+    The answer mixes at most four columns; when v_size_max allows fewer,
+    every column subset of that size gets its own dual and the best one
+    answers. Infeasible (budget, distortion) pairs return a typed
+    infeasible point. No grid shapes the answer: grid_steps,
+    refine_rounds, lambda_grid and lambda_max are not read.
 
     The metadata reports the inner work: ``blahut_iters`` (the most Blahut
-    updates any curve point took), ``blahut_capped`` (how many columns have
-    a curve point that ran all _BA_MAX_ITER updates, uncertified),
-    ``blahut_gap_max`` (the largest certified gap, in bits, over the curve
-    points) and ``bisect_calls`` (Blahut calls of the final bisection, 0
-    when the zero-rate anchor answers).
+    updates any row took), ``blahut_capped`` (how many rows ran all
+    _BA_MAX_ITER updates, uncertified), ``blahut_gap_max`` (the largest
+    certified gap, in bits, over the rows), ``bisect_calls`` (Blahut calls
+    of the multiplier search, 0 when the zero-rate anchor answers) and
+    ``dual_gap`` (the rate minus the certified dual bound, in bits).
     """
     _check_budgets(budget=budget, distortion_budget=distortion_budget)
     if spec.distortion is None:
@@ -1146,58 +1170,33 @@ def solve_lossy_causal(
     config = config or SolveConfig()
     d_table, p_z = spec.distortion, spec.side_info_marginal
     v_max, n = config.resolved_v_max(spec), spec.a_size**spec.s_size
-    # a plan mixes at most 4 columns; fewer allowed means ranking subsets
+    # a mix has at most 4 columns; fewer allowed means ranking subsets
     subsets = math.comb(n, v_max) if v_max < min(4, n) else 0
-    cols = _columns(spec, config, config.lambda_grid, subsets)
-    meta = {
-        "mode": "lossy-causal", "v_size_max": v_max, "columns": n,
-        "lambda_max": config.lambda_max, "lambda_grid": config.lambda_grid,
-        "blahut_iters": 0, "blahut_capped": 0, "blahut_gap_max": 0.0, "bisect_calls": 0,
-    }
+    cols = _columns(spec, config, subsets=subsets)
+    meta = {"mode": "lossy-causal", "v_size_max": v_max, "columns": n, **_blahut_meta()}
     if not np.any(cols.cost <= budget + _FEAS_EPS):
         return _infeasible(budget, meta, float(distortion_budget),
                            reason="no action choice meets the cost budget")
-    slopes = _slopes(config)
-    curves, iters, gaps = _cell_curves(list(cols.cells), d_table, slopes)
-    meta["blahut_iters"] = int(iters.max())
-    meta["blahut_capped"] = int(np.count_nonzero(iters >= _BA_MAX_ITER))
-    meta["blahut_gap_max"] = float(gaps.max())
-    rate = np.array([p_z @ r for r, _ in curves])  # (n, K)
-    dist = np.array([p_z @ d for _, d in curves])
-    lam_max = float(slopes[-1] / _LN2)
-
-    plan = _lossy_plan(cols.cost, rate, dist, lam_max, budget, distortion_budget)
-    if plan is not None and np.count_nonzero(plan[1]) > v_max:
-        plan = None
-        for sub in map(list, itertools.combinations(range(n), v_max)):
-            cand = _lossy_plan(cols.cost[sub], rate[sub], dist[sub], lam_max, budget,
-                               distortion_budget)
-            if cand is not None and (plan is None or cand[0] < plan[0]):
-                plan = (cand[0], np.zeros(n), cand[2])
-                plan[1][sub] = cand[1]
-    if plan is None:
-        d_min = cols.cells @ d_table.min(axis=1) @ p_z  # distortion at infinite slope
-        if _hull_read(cols.cost, d_min, budget, v_max >= 2)[0] > distortion_budget + _FEAS_EPS:
-            return _infeasible(budget, meta, float(distortion_budget),
-                               reason="distortion budget below the achievable floor")
-        raise IntegrityError(f"distortion {distortion_budget} needs a multiplier above "
-                             f"lambda_max ({config.lambda_max}); raise lambda_max")
-    keep = plan[1] > 0.0
-    p_v = plan[1][keep]
-    value, q, meta["bisect_calls"] = _rd_bisect(
-        cols.cells[keep].reshape(-1, spec.y_size), (p_v[:, None] * p_z[None, :]).reshape(-1),
-        d_table, distortion_budget, config,
-    )
-    if plan[2] < value - 1e-9:
-        raise IntegrityError(f"a multiplier above lambda_max ({config.lambda_max}) could "
-                             f"beat {value!r}; raise lambda_max")
-    recon = np.transpose(q.reshape(len(p_v), spec.z_size, spec.y_size, -1), (2, 0, 1, 3))
-    aux = AuxiliaryChoice(policy=ActionPolicy(cols.policy[:, keep]), v_marginal=p_v,
-                          recon=np.ascontiguousarray(recon))  # indexed (y, v, z, yhat)
-    meta["v_size"] = len(p_v)
+    mix = _lossy_dual(cols.cells, p_z, cols.cost, d_table, budget, distortion_budget, meta)
+    if mix is not None and len(mix.keep) > v_max:
+        mix = None
+        for sub in map(np.array, itertools.combinations(range(n), v_max)):
+            cand = _lossy_dual(cols.cells[sub], p_z, cols.cost[sub], d_table, budget,
+                               distortion_budget, meta)
+            if cand is not None and (mix is None or cand.rate < mix.rate):
+                mix = cand._replace(keep=sub[cand.keep])
+    if mix is None:
+        return _infeasible(budget, meta, float(distortion_budget),
+                           reason="distortion budget below the achievable floor")
+    meta["dual_gap"] = mix.dual_gap
+    recon = np.transpose(mix.kernels, (2, 0, 1, 3))  # indexed (y, v, z, yhat)
+    aux = AuxiliaryChoice(policy=ActionPolicy(cols.policy[:, mix.keep]), v_marginal=mix.p,
+                          recon=np.ascontiguousarray(recon))
+    meta["v_size"] = len(mix.p)
     return RateCostPoint(
-        budget=float(budget), rate=value, cost=float(p_v @ cols.cost[keep]), feasible=True,
-        distortion=float(distortion_budget), argmin=aux, solved_rate=value, metadata=meta,
+        budget=float(budget), rate=mix.rate, cost=float(mix.p @ cols.cost[mix.keep]),
+        feasible=True, distortion=float(distortion_budget), argmin=aux, solved_rate=mix.rate,
+        metadata=meta,
     )
 
 
@@ -1370,12 +1369,13 @@ def evaluate_lossy_bounds(
         flush_si_both()
 
     # the shared multiplier grid is coarse; re-solve the winning candidate's
-    # inner problem by exact bisection, as the lossy solver does
+    # inner problem exactly, as one column of cost 0
     if sib_winner is not None:
         cells_w, w_w, i_w = sib_winner
-        exact = i_w + _rd_bisect(cells_w, w_w, d_table, distortion_budget, config)[0]
-        if exact < best["si-both"][0]:
-            best["si-both"] = (exact, best["si-both"][1])
+        mix = _lossy_dual(cells_w[None], w_w, np.zeros(1), d_table, 0.0, distortion_budget,
+                          _blahut_meta())
+        if mix is not None and i_w + mix.rate < best["si-both"][0]:
+            best["si-both"] = (i_w + mix.rate, best["si-both"][1])
 
     out = []
     for label in ("si-both", "si-decoder", "si-decoder-v"):
@@ -1417,23 +1417,18 @@ def _decoder_bound(p_zvy, u_kern, i_vs_z, d_table, distortion_budget) -> float:
 
 
 def lower_convex_envelope(budgets: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Greatest convex minorant of the points, evaluated at each budget."""
+    """Greatest convex minorant of the points, evaluated at each budget.
+
+    Takes increasing budgets with non-increasing rates, as ``trace_curve``'s
+    carry leaves them: the minorant is then the lower hull that
+    ``_lower_hull`` reads up to the least rate, and flat past it.
+    """
     budgets = np.asarray(budgets, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
-    if len(budgets) <= 2:
+    if not len(budgets):
         return rates.copy()
-    hull_x = [budgets[0]]
-    hull_y = [rates[0]]
-    for x, y in zip(budgets[1:], rates[1:]):
-        hull_x.append(x)
-        hull_y.append(y)
-        while len(hull_x) >= 3:
-            x0, x1, x2 = hull_x[-3], hull_x[-2], hull_x[-1]
-            y0, y1, y2 = hull_y[-3], hull_y[-2], hull_y[-1]
-            if (y1 - y0) * (x2 - x1) <= (y2 - y1) * (x1 - x0):
-                break
-            del hull_x[-2], hull_y[-2]
-    return np.interp(budgets, hull_x, hull_y)
+    hull = _lower_hull(budgets, rates)
+    return np.interp(budgets, budgets[hull], rates[hull])
 
 
 def trace_curve(

@@ -4,11 +4,11 @@ The Blahut kernel stops each row on its own certificate: the tests
 recompute that certificate from the returned kernels, check the zero-rate
 rows against the closed form, compare every row with the same row run
 alone and with the old rate-change stop rule (``serial_blahut``), and check
-that the column curves come out monotone and convex. The subtree multiplier
-bisection and the stacked decoder-side bound are checked against plain
-loops kept here as references: bit-equal where the arithmetic is unchanged
-(binary alphabets), within 1e-12 where only the summation order over an
-axis of length 3 differs.
+that the column curves come out monotone and convex. The lossy dual search
+and the stacked decoder-side bound are checked against plain loops kept
+here as references: the 60-step multiplier bisection (which the search may
+only undercut) and the per-kernel decoder bound (within 1e-12, where only
+the summation order over an axis of length 3 differs).
 """
 
 from dataclasses import replace
@@ -20,14 +20,12 @@ from hypothesis import strategies as st
 
 from actrate import solver
 from actrate.binary import make_binary_example
-from actrate.errors import IntegrityError, SearchSpaceError
+from actrate.errors import SearchSpaceError
 from actrate.kernel import entropy_bits
 from actrate.model import ProblemSpec
 from actrate.solver import SolveConfig, evaluate_lossy_bounds, solve_lossy_causal
 
 LN2 = float(np.log(2.0))
-# the lambda_max solve, then one call per subtree of the bisection
-BISECT_CALLS = 1 + -(-solver._BISECT_STEPS // solver._BISECT_DEPTH)
 
 
 def serial_blahut(p_y, d, beta):
@@ -201,6 +199,22 @@ class TestCertifiedBlahut:
             zero_rate = (out[3] == 0).reshape(4, -1)
             assert np.all(zero_rate.any(axis=1) & ~zero_rate.all(axis=1))
 
+    def test_zeroed_entry_is_revived(self):
+        """Rows whose first Newton step zeroed the output letter with the
+        largest c, where G falls fastest, which no Blahut update revives:
+        they ran all 500 updates, certified only within 1.6e-4 to 9.3e-3
+        bits. Now each certifies within 20, on the optimum's support."""
+        d = np.array([[0.35031361, 0.0521702, 0.54691222],
+                      [0.20461353, 0.7413625, 0.02371608],
+                      [0.75073207, 0.65437581, 0.74986512]])
+        p_y = np.tile([0.35944239, 0.37864284, 0.26191477], (5, 1))
+        beta = np.array([0.25, 0.5, 1.0, 1.0625, 1.125]) * LN2
+        rate, dist, q, iters, gap = solver._ba_rd_lagrangian(p_y, d, beta)
+        assert np.all(iters <= 20) and np.all(gap <= solver._BA_TOL)
+        # a 1/400 grid over the output laws puts the optimum at 1 bit/unit
+        # near (0.605, 0, 0.395)
+        np.testing.assert_allclose(p_y[2] @ q[2], [0.605, 0.0, 0.395], rtol=0, atol=2e-3)
+
     def test_large_distortions_do_not_underflow(self):
         """Adding 40 to every distortion, where exp(-beta * d) underflows at
         the top slopes, moves each row's distortion by 40 and nothing else."""
@@ -240,14 +254,16 @@ class TestCertifiedBlahut:
 
 
 def serial_bisect(cells, w, d_table, distortion_budget, lambda_max):
-    """The plain 60-step bisection, one Blahut call per midpoint."""
+    """The least multiplier in [0, lambda_max] whose cell kernels meet the
+    distortion budget, by 60 plain halvings, one Blahut call per midpoint:
+    (rate, kernels) there."""
     def solve_at(beta):
         rate, dist, q, *_ = solver._ba_rd_lagrangian(cells, d_table, np.full(len(cells), beta))
         return float(w @ rate), float(w @ dist), q
 
     lo, hi = 0.0, lambda_max * LN2
     rate, _, q = solve_at(hi)
-    for _ in range(solver._BISECT_STEPS):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         rate_m, dist_m, q_m = solve_at(mid)
         if dist_m <= distortion_budget + solver._FEAS_EPS:
@@ -257,29 +273,54 @@ def serial_bisect(cells, w, d_table, distortion_budget, lambda_max):
     return rate, q
 
 
-class TestSubtreeBisection:
+def dual_search(cells, w, d_table, target):
+    """The lossy dual search on one column of cost 0 (the si-both re-solve)."""
+    meta = solver._blahut_meta()
+    mix = solver._lossy_dual(cells[None], w, np.zeros(1), d_table, 0.0, target, meta)
+    return mix, meta
+
+
+class TestDualSearch:
     def test_matches_serial_bisection(self):
+        """At targets the bisection's lambda_max reaches, the search is within
+        1e-12 of it and never above it but for rounding (it mixes two
+        multipliers' kernels, the bisection keeps one)."""
         rng = np.random.default_rng(6)
-        cfg = SolveConfig()
-        for y_size, yhat_size in ((2, 2), (3, 3)):
-            # zero distortion on the diagonal, so every target above 0 is reachable
-            d_table = (1.0 - np.eye(y_size, yhat_size)) * (0.5 + rng.random((y_size, yhat_size)))
-            for frac in (0.3, 0.8):
+        calls = []
+        for y_size, yhat_size in ((2, 2), (3, 3), (3, 2)):
+            d_table = rng.random((y_size, yhat_size))
+            for frac in (0.1, 0.3, 0.8):
                 cells = rng.dirichlet(np.ones(y_size), size=3)
                 w = rng.dirichlet(np.ones(3))
-                target = frac * float(w @ solver._const_dist(cells, d_table).min(axis=1))
-                rate, q, calls = solver._rd_bisect(cells, w, d_table, target, cfg)
-                ref_rate, ref_q = serial_bisect(cells, w, d_table, target, cfg.lambda_max)
-                assert rate == ref_rate and np.array_equal(q, ref_q)
-                assert calls == BISECT_CALLS
+                ref_rate, ref_q = serial_bisect(cells, w, d_table, 0.0, 50.0)
+                top = float(w @ (cells[:, :, None] * ref_q * d_table).sum(axis=(1, 2)))
+                zero = float(w @ (cells @ d_table).min(axis=1))
+                target = top + frac * (zero - top)
+                ref_rate = serial_bisect(cells, w, d_table, target, 50.0)[0]
+                mix, meta = dual_search(cells, w, d_table, target)
+                assert -1e-12 <= mix.rate - ref_rate <= 1e-14
+                assert 0.0 <= mix.dual_gap <= 2e-9 and meta["blahut_capped"] == 0
+                calls.append(meta["bisect_calls"])
+        assert max(calls) <= 6 and sum(c > 0 for c in calls) >= 6
 
     def test_zero_rate_anchor_makes_no_call(self):
         spec = make_binary_example(0.1, with_distortion=True)
         cells = np.array([[0.9, 0.1], [0.2, 0.8]])
-        rate, q, calls = solver._rd_bisect(cells, np.array([0.5, 0.5]), spec.distortion,
-                                           0.5, SolveConfig())
-        assert (rate, calls) == (0.0, 0)
-        assert np.array_equal(q.sum(axis=2), np.ones((2, 2)))
+        mix, meta = dual_search(cells, np.array([0.5, 0.5]), spec.distortion, 0.5)
+        assert (mix.rate, meta["bisect_calls"]) == (0.0, 0)
+        assert np.array_equal(mix.kernels[0].sum(axis=2), np.ones((2, 2)))
+
+    def test_floor_needs_no_lambda_max(self):
+        """D = 0 with a zero-diagonal table is the floor: the bisection can
+        only approach it, the search reaches it (up to the 1e-12 slack of the
+        feasibility test), at rate H(Y) per cell."""
+        spec = make_binary_example(0.1, with_distortion=True)
+        cells = np.array([[0.9, 0.1], [0.3, 0.7]])
+        mix, _ = dual_search(cells, np.array([0.5, 0.5]), spec.distortion, 0.0)
+        h = np.array([entropy_bits(c) for c in cells])
+        assert 0.0 <= 0.5 * h.sum() - mix.rate <= 1e-10
+        np.testing.assert_allclose(mix.kernels[0], np.stack([np.eye(2)] * 2), rtol=0, atol=1e-11)
+        assert dual_search(cells, np.array([0.5, 0.5]), spec.distortion + 0.1, 0.0)[0] is None
 
 
 def scalar_decoder_bound(p_zvy, u_kern_vyu, i_vs_z, d_table, distortion_budget):
@@ -322,17 +363,11 @@ class TestStackedDecoderBound:
 
 
 class TestLossyGuards:
-    def test_rd_bisect_names_lambda_max(self):
-        spec = make_binary_example(0.1, with_distortion=True)
-        cells = np.array([[0.9, 0.1], [0.3, 0.7]])
-        with pytest.raises(IntegrityError, match="lambda_max"):
-            solver._rd_bisect(cells, np.array([0.5, 0.5]), spec.distortion, 0.0,
-                              SolveConfig(lambda_max=0.5))
-
-    def test_capped_floor_names_lambda_max(self):
-        """D sits 5e-10 below the distortion one grid candidate reaches at
-        lambda_max = 3: no slope resolves it, yet within 1e-9 its capped rate
-        would beat the incumbent, so the solve must refuse."""
+    def test_capped_floor_answers(self):
+        """D sits 5e-10 below the distortion one slope-grid candidate reaches
+        at lambda_max = 3, a budget the slope-grid solve refused at that
+        lambda_max. The dual search reads no lambda_max: the same rate at 3
+        and 50."""
         spec = ProblemSpec(
             state_joint=np.array([[0.2273461812257031, 0.03905335882876365],
                                   [0.12252782961599647, 0.6110726303295367]]),
@@ -348,14 +383,14 @@ class TestLossyGuards:
                                  [0.8957577517412816, 0.026943411384702798]]),
         )
         cfg = SolveConfig(grid_steps=4, v_size_max=2, refine_rounds=0, lambda_max=3.0)
-        with pytest.raises(IntegrityError, match="lambda_max"):
-            solve_lossy_causal(spec, 1.0, 0.17774637619881692, cfg)
-        pt = solve_lossy_causal(spec, 1.0, 0.17774637619881692, replace(cfg, lambda_max=50.0))
-        assert pt.feasible
+        pt = solve_lossy_causal(spec, 1.0, 0.17774637619881692, cfg)
+        assert pt.feasible and pt.metadata["dual_gap"] <= 2e-9
+        same = solve_lossy_causal(spec, 1.0, 0.17774637619881692, replace(cfg, lambda_max=50.0))
+        assert (same.rate, same.cost) == (pt.rate, pt.cost)
 
     @pytest.mark.parametrize("solve, cfg, required", [
-        (solve_lossy_causal, SolveConfig(grid_steps=6, v_size_max=2, u_size_max=2), 960),
-        (solve_lossy_causal, SolveConfig(grid_steps=8), 384),
+        (solve_lossy_causal, SolveConfig(grid_steps=6, v_size_max=2, u_size_max=2), 10),
+        (solve_lossy_causal, SolveConfig(grid_steps=8), 4),
         (evaluate_lossy_bounds, SolveConfig(grid_steps=4, v_size_max=2, u_size_max=2),
          12_159_488),
         (evaluate_lossy_bounds, SolveConfig(grid_steps=8, v_size_max=2, u_size_max=3),
@@ -374,9 +409,10 @@ class TestLossyTablePin:
     """The benchmark's lossy-table configuration. The bounds are values
     recorded with the serial (one Blahut run per policy, candidate and
     midpoint) implementation; the lossy-causal values are the exact column
-    mix, which spends the whole budget, finished by a bisection whose every
-    Blahut row is certified (at D = 0.2 the rate-change stop left them up to
-    3.1e-9 bits high)."""
+    mix, which spends the whole budget, recorded with a 60-step multiplier
+    bisection whose every Blahut row is certified (at D = 0.2 the
+    rate-change stop left them up to 3.1e-9 bits high). The dual search
+    reproduces them to 5e-16."""
 
     CFG = SolveConfig(grid_steps=6, v_size_max=2, u_size_max=2, refine_rounds=1)
     # (rate, cost) per budget 0.094, 0.198, 0.302, 0.385
@@ -392,18 +428,21 @@ class TestLossyTablePin:
         0.2: [0.04879494069539858, 0.2488375407875445, 0.04879494069539858],
     }
 
+    # Blahut calls of the dual search per budget; the zero-rate anchor needs none
+    CALLS = {0.05: [4, 4, 4, 4], 0.2: [4, 4, 3, 0]}
+
     def test_lossy_causal_values(self):
         spec = make_binary_example(0.1, with_distortion=True)
         for d, expected in self.LOSSY.items():
-            for b, (rate, cost) in zip((0.094, 0.198, 0.302, 0.385), expected):
+            for b, (rate, cost), calls in zip((0.094, 0.198, 0.302, 0.385), expected,
+                                              self.CALLS[d]):
                 pt = solve_lossy_causal(spec, b, d, self.CFG)
                 np.testing.assert_allclose([pt.rate, pt.cost], [rate, cost], rtol=0, atol=1e-12)
-                # every curve point is certified well short of the cap; the
-                # zero-rate anchor needs no call
+                # every Blahut row is certified well short of the cap
                 meta = pt.metadata
-                assert (meta["blahut_iters"], meta["blahut_capped"]) == (17, 0)
-                assert meta["blahut_gap_max"] <= 1e-9
-                assert meta["bisect_calls"] == (0 if rate == 0.0 else BISECT_CALLS)
+                assert (meta["blahut_iters"], meta["blahut_capped"]) == ((13, 0) if calls else (0, 0))
+                assert meta["blahut_gap_max"] <= 1e-9 and meta["dual_gap"] <= 2e-9
+                assert meta["bisect_calls"] == calls
 
     def test_bound_values(self):
         spec = make_binary_example(0.1, with_distortion=True)

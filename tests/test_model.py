@@ -1,15 +1,23 @@
 """Tests for problem specs, strategy objects, joint assembly, and JSON I/O."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actrate.binary import (
     binary_structured_aux,
     binary_timeshare_aux,
     make_binary_example,
 )
+from actrate.cli import main
 from actrate.errors import (
     InvalidDistributionError,
     SpecFormatError,
@@ -601,3 +609,84 @@ class TestJsonRoundTrips:
     def test_format_error_carries_path_prefix(self):
         err = SpecFormatError("channel[2][0]", "row sums to 0.9")
         assert str(err) == "channel[2][0]: row sums to 0.9"
+
+
+def pmfs(n):
+    """n-atom pmfs in multiples of 1/1024, whose float sums are exact, so
+    that the loader's renormalization leaves them unchanged."""
+    cuts = st.lists(st.integers(0, 1024), min_size=n - 1, max_size=n - 1)
+    return cuts.map(lambda c: np.diff([0, *sorted(c), 1024]) / 1024)
+
+
+@st.composite
+def valid_specs(draw):
+    """Specs with every alphabet in 1..3, any finite costs and distortions."""
+    s, z, a, y = (draw(st.integers(1, 3)) for _ in range(4))
+    values = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+    channel = np.array([[draw(pmfs(y)) for _ in range(s)] for _ in range(a)])
+    distortion = None
+    if draw(st.booleans()):
+        yhat = draw(st.integers(1, 3))
+        distortion = np.array(draw(st.lists(values, min_size=y * yhat, max_size=y * yhat)))
+        distortion = distortion.reshape(y, yhat)
+    return ProblemSpec(
+        state_joint=draw(pmfs(s * z)).reshape(s, z), channel=channel,
+        cost=np.array(draw(st.lists(values, min_size=a * s * y,
+                                    max_size=a * s * y))).reshape(a, s, y),
+        distortion=distortion,
+    )
+
+
+@st.composite
+def malformed_docs(draw):
+    """(document, JSON path) with one malformed entry: a non-finite number,
+    a row of the wrong length, or a probability row off its pmf."""
+    doc = json.loads(spec_to_json(draw(valid_specs())))
+    kind = draw(st.sampled_from(["non-finite", "length", "pmf"]))
+    names = ["state_joint", "channel"]
+    if kind != "pmf":
+        names += ["cost"] + (["distortion"] if "distortion" in doc else [])
+    name = draw(st.sampled_from(names))
+    if name == "state_joint":
+        parent, key, path = doc, name, name
+    elif name == "distortion":
+        key = draw(st.integers(0, len(doc[name]) - 1))
+        parent, path = doc[name], f"distortion[{key}]"
+    else:
+        a = draw(st.integers(0, len(doc[name]) - 1))
+        key = draw(st.integers(0, len(doc[name][a]) - 1))
+        parent, path = doc[name][a], f"{name}[{a}][{key}]"
+    row = parent[key]
+    i = draw(st.integers(0, len(row) - 1))
+    if kind == "non-finite":
+        row[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        path = f"{path}[{i}]"
+    elif kind == "length":
+        parent[key] = row + [0.0] if draw(st.booleans()) else row[:i] + row[i + 1:]
+    else:
+        row[i] += 0.5
+    return json.dumps(doc), path
+
+
+class TestLoaderProperties:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(valid_specs())
+    def test_spec_json_round_trips_exactly(self, spec):
+        back = spec_from_json(spec_to_json(spec))
+        assert back.fingerprint() == spec.fingerprint()
+        for name in ("state_joint", "channel", "cost", "distortion"):
+            mine, theirs = getattr(spec, name), getattr(back, name)
+            assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(malformed_docs())
+    def test_malformed_entry_exits_2_with_its_path(self, case):
+        text, path = case
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = Path(tmp) / "spec.json"
+            spec_path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["curve", "--spec", str(spec_path), "--budgets", "0.1"])
+        assert code == 2
+        assert f"{path}:" in err.getvalue()
