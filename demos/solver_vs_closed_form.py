@@ -12,7 +12,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=float, default=0.1, help="channel noise level")
     ap.add_argument("--grid", type=int, default=16, help="probability grid steps (foresight only)")
-    ap.add_argument("--refine", type=int, default=3, help="local refinement rounds (foresight only)")
+    ap.add_argument("--refine", type=int, default=3, help="0 reports the grid point, any positive value polishes it (non-causal only)")
     ap.add_argument("--vmax", type=int, default=3, help="auxiliary alphabet cap")
     args = ap.parse_args()
 

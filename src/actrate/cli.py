@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--grid", type=int, default=32,
                          help="probability grid steps (noncausal and bounds modes)")
     p_curve.add_argument("--refine", type=int, default=3,
-                         help="local refinement rounds (noncausal mode)")
+                         help="noncausal mode: 0 reports the grid point, > 0 polishes it")
     p_curve.add_argument("--vmax", type=int, default=None)
     p_curve.add_argument("--umax", type=int, default=None)
     p_curve.add_argument("--out", default=None, help="output file (default stdout)")

@@ -290,10 +290,8 @@ def assemble_joint(spec: ProblemSpec, aux: AuxiliaryChoice, causal: bool) -> Joi
         * t[None, :, :, :]
     )  # (z, s, v, y)
     joint = np.zeros((z_size, s_size, v_size, spec.a_size, y_size))
-    sv_actions = aux.policy.table  # (s, v)
-    for s in range(s_size):
-        for v in range(v_size):
-            joint[:, s, v, sv_actions[s, v], :] = base[:, s, v, :]
+    s_idx, v_idx = np.indices((s_size, v_size))
+    joint[:, s_idx, v_idx, aux.policy.table, :] = base  # a = f(s, v)
     names = ["z", "s", "v", "a", "y"]
     mass = joint
 

@@ -24,9 +24,9 @@ The non-causal objective is not jointly convex in p(v|s), so
     enumeration;
   * the p(v|s) rows range over a uniform simplex grid with ``grid_steps``
     subdivisions per coordinate;
-  * local refinement then shrinks the step by 4x per round around the
-    incumbent, re-evaluating candidates through the exact reference path
-    in ``model``;
+  * a majorise-minimise polish then leaves the grid from the frontier
+    argmin under the same policy, each step in closed form and never
+    raising the objective, re-evaluated through ``model``;
   * the causal hull answer competes as p(v|s) rows constant in s, so the
     non-causal rate never exceeds the causal one.
 
@@ -42,7 +42,7 @@ SearchSpaceError (carrying the count) instead of running for hours. The
 cost constraint is handled two ways, both exposed: direct feasibility
 filtering (``solve_*``), and ``lagrangian_sweep``, whose lower envelope
 bounds the causal solve and the grid-only non-causal solve
-(refine_rounds=0) from below by weak duality; refinement leaves the grid
+(refine_rounds=0) from below by weak duality; the polish leaves the grid
 and may go lower.
 
 Heavy sweeps (more than ~2e7 grid points) evaluate tiles in float32 for
@@ -109,6 +109,11 @@ _BA_TOL = 1e-9
 _BA_MAX_ITER = 500
 _BA_NEWTON = 4
 
+# A polish step that gains under _MM_TOL nats is its last; the others are guards.
+_MM_TOL = 1e-12
+_MM_MAX_STEPS = 1000
+_MM_LAMBDA_ITERS = 100
+
 # exp(-x) is exactly 0.0 in float64 for x >= _EXP_UNDERFLOW.
 _EXP_UNDERFLOW = 746.0
 
@@ -127,16 +132,17 @@ _KERNEL_BLOCK = 4096
 class SolveConfig:
     """Search resolution and guard settings.
 
-    ``grid_steps`` and ``refine_rounds`` shape the grid searches only (the
-    non-causal sweep and the lossy bounds). v_size_max / u_size_max default
-    to |S|+2 and |Y|+2 (sufficient auxiliary cardinalities for these
-    objectives) when left as None. ``search_limit`` bounds the grid
-    evaluations a sweep may request and the column points a causal solve
-    reads; bound searches with inner enumerations are charged a 64x weight
-    for their per-point cost. ``lambda_grid`` and ``lambda_max`` shape
-    only the si-both screen of the lossy bounds, its multiplier grid (the
-    winning candidate is re-solved exactly, so they only affect which
-    candidate wins); ``solve_lossy_causal`` reads neither.
+    ``grid_steps`` shapes the grid searches only (the non-causal sweep and
+    the lossy bounds); ``refine_rounds`` > 0 polishes the non-causal grid
+    point, 0 reports it. v_size_max / u_size_max default to |S|+2 and |Y|+2
+    (sufficient auxiliary cardinalities for these objectives) when left as
+    None. ``search_limit`` bounds the grid evaluations a sweep may request
+    and the column points a causal solve reads; bound searches with inner
+    enumerations are charged a 64x weight for their per-point cost.
+    ``lambda_grid`` and ``lambda_max`` shape only the si-both screen of the
+    lossy bounds, its multiplier grid (the winning candidate is re-solved
+    exactly, so they only affect which candidate wins);
+    ``solve_lossy_causal`` reads neither.
     """
 
     grid_steps: int = 32
@@ -313,17 +319,11 @@ class _Frontier:
         self._bucket_lb = np.where(pos >= 0, self.obj[np.maximum(pos, 0)], np.inf)
 
     def query(self, budget: float):
-        """Best (obj, cost, v_size, policy_id, combo) with cost <= budget."""
+        """(v_size, policy_id, combo) of the least objective with cost <= budget."""
         pos = int(np.searchsorted(self.cost, budget + _FEAS_EPS, side="right")) - 1
         if pos < 0:
             return None
-        return (
-            float(self.obj[pos]),
-            float(self.cost[pos]),
-            int(self.v_size[pos]),
-            int(self.policy_id[pos]),
-            int(self.combo[pos]),
-        )
+        return int(self.v_size[pos]), int(self.policy_id[pos]), int(self.combo[pos])
 
     @property
     def min_cost(self) -> float:
@@ -471,17 +471,12 @@ def _cached_sweep(spec, config) -> _Frontier:
 
 
 # ---------------------------------------------------------------------------
-# Reference-path evaluation and local refinement
+# Reference-path evaluation and the non-causal polish
 # ---------------------------------------------------------------------------
 
 
 def _combo_rows(grid: np.ndarray, combo: int, n_axes: int) -> np.ndarray:
-    n = grid.shape[0]
-    rows = []
-    for _ in range(n_axes):
-        rows.append(grid[combo % n])
-        combo //= n
-    return np.array(rows[::-1])  # state 0 most significant
+    return grid[list(np.unravel_index(combo, (len(grid),) * n_axes))]  # state 0 most significant
 
 
 def _make_aux(policy: np.ndarray, rows: np.ndarray, causal: bool) -> AuxiliaryChoice:
@@ -498,62 +493,68 @@ def _eval_reference(spec, policy, rows, causal) -> tuple[float, float]:
     return value, expected_cost(joint, spec)
 
 
-def _row_moves(v_size: int, step: float) -> list[np.ndarray]:
-    moves = [np.zeros(v_size)]
-    for a in range(v_size):
-        for b in range(v_size):
-            if a != b:
-                m = np.zeros(v_size)
-                m[a] += step
-                m[b] -= step
-                moves.append(m)
-    return moves
+def _polish(spec, policy, rows, budget, config):
+    """Majorise-minimise steps from the grid rows, the policy held fixed.
 
-
-def _refine(spec, policy, rows, budget, config):
-    """Shrinking-step local search around the incumbent p(v|s) rows.
-
-    Candidates are evaluated through ``model``; moves that leave the simplex
-    or exceed the budget are discarded. At most two rows move at a time,
-    which keeps the candidate set small while still allowing the cost
-    trades between rows that budget-boundary optima need.
+    H(V,Y|Z) is the least E[-ln q(V,Y|Z)] over laws q (Csiszar and Tusnady,
+    1984). So with q = p(v,y|z) held and l(s,v) = E[-ln q(v,Y|Z) | s, v],
+    the rows p(v|s) ~ exp(-l(s,v) - lam * c(s,v)) minimise an upper bound
+    on H(V,Y|Z) - H(V|S) that touches it at the current rows, lam >= 0 the
+    least multiplier that meets the budget (the concave-convex procedure;
+    Yuille and Rangarajan, 2003). Returns (rows, objective, cost, steps,
+    gain): the grid rows unless ``model`` finds the polished ones lower and
+    within budget.
     """
-    n_rows, v_size = rows.shape
-    best_val, best_cost = _eval_reference(spec, policy, rows, False)
-    if v_size == 1:
-        return rows, best_val, best_cost
-    for round_no in range(1, config.refine_rounds + 1):
-        step = (1.0 / config.grid_steps) / (4.0**round_no)
-        moves = _row_moves(v_size, step)[1:]
-        for _ in range(50):
-            improved = False
-            candidates = []
-            for r in range(n_rows):
-                for mv in moves:
-                    candidates.append(((r,), (mv,)))
-            for r1 in range(n_rows):
-                for r2 in range(r1 + 1, n_rows):
-                    for mv1 in moves:
-                        for mv2 in moves:
-                            candidates.append(((r1, r2), (mv1, mv2)))
-            for which, mvs in candidates:
-                cand = rows.copy()
-                ok = True
-                for r, mv in zip(which, mvs):
-                    nr = cand[r] + mv
-                    if nr.min() < 0.0:
-                        ok = False
-                        break
-                    cand[r] = nr
-                if not ok:
-                    continue
-                val, cost = _eval_reference(spec, policy, cand, False)
-                if cost <= budget + _FEAS_EPS and val < best_val - 1e-13:
-                    rows, best_val, best_cost = cand, val, cost
-                    improved = True
-            if not improved:
+    value, cost = _eval_reference(spec, policy, rows, False)
+    if not config.refine_rounds or policy.shape[1] == 1:
+        return rows, value, cost, 0, 0.0
+    c = reduced_cost(spec)[np.arange(spec.s_size)[:, None], policy]  # (s, v)
+    p_s, p_z = spec.state_marginal, spec.side_info_marginal
+    if p_s @ c.min(axis=1) >= budget:  # not even the cheapest rows undercut it
+        return rows, value, cost, 0, 0.0
+    t = spec.channel[policy, np.arange(spec.s_size)[:, None], :]  # (s, v, y)
+    dead = p_s == 0.0  # a zero-mass state keeps its row
+    z_given_s = spec.state_joint / np.where(dead, 1.0, p_s)[:, None]
+    weight = z_given_s[:, :, None, None] * t[:, None, :, :]  # (s, z, v, y)
+
+    def objective(r):  # H(V,Y|Z) - H(V|S) in nats, and q = p(v, y | z)
+        p_zvy = np.einsum("sz,sv,svy->zvy", spec.state_joint, r, t)
+        h = xlogy(p_z, p_z).sum() - xlogy(p_zvy, p_zvy).sum() + p_s @ xlogy(r, r).sum(axis=1)
+        return h, p_zvy / np.where(p_z > 0.0, p_z, 1.0)[:, None, None]
+
+    now, q = objective(rows)
+    best = rows
+    for steps in range(1, _MM_MAX_STEPS + 1):
+        e = xlogy(weight, q).sum(axis=(1, 3))  # -l(s, v): -inf off the support of q
+        lam, lo, hi, new = 0.0, 0.0, np.inf, best  # no multiplier meets it: stop
+        for _ in range(_MM_LAMBDA_ITERS):
+            x = e - lam * c
+            r = np.exp(x - x.max(axis=1, keepdims=True))
+            r = np.where(dead[:, None], rows, r / r.sum(axis=1, keepdims=True))
+            mean = (r * c).sum(axis=1)
+            slack = float(budget - p_s @ mean)  # a float: an overflowing step is inf, no warning
+            if slack >= 0.0:
+                hi, new = lam, r
+            else:
+                lo = lam
+            # stop on the budget to 1e-15, or once the bracket closes (at lam = 0 too)
+            if 0.0 <= slack <= 1e-15 or lo >= hi * (1.0 - 1e-15):
                 break
-    return rows, best_val, best_cost
+            # safeguarded Newton: inside (lo, min(hi, 2 lo + 1)), else bisect or grow
+            slope = float(p_s @ ((r * c * c).sum(axis=1) - mean**2))  # -d cost / d lam
+            lam = lam - slack / slope if slope > 0.0 else hi
+            if not lo < lam < min(hi, 2.0 * lo + 1.0):
+                lam = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo + 1.0
+        new_value, new_q = objective(new)
+        gain = now - new_value
+        if gain > 0.0:
+            best, now, q = new, new_value, new_q
+        if gain < _MM_TOL:
+            break
+    new_value, new_cost = _eval_reference(spec, policy, best, False)
+    if new_cost <= budget + _FEAS_EPS and new_value < value:
+        return best, new_value, new_cost, steps, value - new_value
+    return rows, value, cost, steps, 0.0
 
 
 def _check_budgets(**named) -> None:
@@ -655,9 +656,10 @@ def solve_noncausal(
 ) -> RateCostPoint:
     """Minimize I(V;S|Z) + H(Y|V,Z) over policies and p(v|s), cost <= budget.
 
-    The refined grid answer competes with the causal hull answer, entered
+    The polished grid answer competes with the causal hull answer, entered
     as p(v|s) rows all equal to p(v) (so I(V;S|Z) = 0); the lower one, as
     re-evaluated through ``model``, is reported (``from_hull`` says which).
+    ``polish_steps`` counts the polish's steps, ``polish_gain`` the bits saved.
     """
     _check_budgets(budget=budget)
     config = config or SolveConfig()
@@ -673,11 +675,11 @@ def solve_noncausal(
     hit = frontier.query(budget)
     if hit is None:
         return _infeasible(budget, meta, min_achievable_cost=frontier.min_cost)
-    _, _, v_size, policy_id, combo = hit
+    v_size, policy_id, combo = hit
     cols = _columns(spec)
     policy = _policy(spec, v_size, policy_id)
     rows = _combo_rows(_simplex_grid(v_size, config.grid_steps), combo, spec.s_size)
-    rows, value, cost = _refine(spec, policy, rows, budget, config)
+    rows, value, cost, steps, gain = _polish(spec, policy, rows, budget, config)
     hull_value, p = _hull_read(cols.cost, cols.h, budget, meta["v_size_max"] >= 2)
     meta["from_hull"] = False
     # a hull answer within 1e-12 of the grid's is float dust: keep the grid argmin
@@ -688,7 +690,7 @@ def solve_noncausal(
         if h_value < value:
             policy, rows, value, cost = h_policy, h_rows, h_value, h_cost
             meta["from_hull"] = True
-    meta["v_size"] = int(policy.shape[1])
+    meta.update(v_size=int(policy.shape[1]), polish_steps=steps, polish_gain=gain)
     return RateCostPoint(
         budget=float(budget), rate=value, cost=cost, argmin=_make_aux(policy, rows, False),
         solved_rate=value, metadata=meta,
@@ -736,8 +738,8 @@ def lagrangian_sweep(
     causal solve at budget B and the grid-only non-causal solve
     (refine_rounds=0): both answer from these points or their hull, and the
     sweep's |V| = 1 points are the columns. Tests use that as the
-    cross-check between the two constraint treatments. Refinement leaves
-    the grid, so a refined non-causal solve may fall below this bound.
+    cross-check between the two constraint treatments. The polish leaves
+    the grid, so a polished non-causal solve may fall below this bound.
     """
     causal = _parse_mode(mode)
     config = config or SolveConfig()
@@ -781,7 +783,7 @@ def brute_force_oracle(
     v_size: int | None = None,
     max_evals: int = 100_000_000,
 ) -> RateCostPoint:
-    """Plain dense-grid minimum: no refinement, no caching, no frontier.
+    """Plain dense-grid minimum: no polish, no caching, no frontier.
 
     Enumerates every policy on exactly ``v_size`` symbols, repeated action
     columns included (up to V relabeling, an exact symmetry), and
