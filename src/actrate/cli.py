@@ -411,7 +411,7 @@ def _checks_full(seed: int, grid_steps: int | None = None):
     def oracle_brackets_closed_form():
         spec = make_binary_example(0.1)
         # a dense grid value upper-bounds the true minimum
-        pt = brute_force_oracle(spec, 0.3, "noncausal", dense_steps=20, v_size=2)
+        (pt,) = brute_force_oracle(spec, [0.3], "noncausal", dense_steps=20, v_size=2)
         gap = pt.rate - rate_noncausal_binary(0.3, 0.1)
         if gap < -1e-9:  # beneath the true minimum: impossible, force failure
             return 1.0 + abs(gap), 2e-2
@@ -420,7 +420,7 @@ def _checks_full(seed: int, grid_steps: int | None = None):
     def oracle_refusal():
         try:
             brute_force_oracle(
-                make_binary_example(0.1), 0.3, "noncausal",
+                make_binary_example(0.1), [0.3], "noncausal",
                 dense_steps=64, v_size=4, max_evals=10_000,
             )
         except SearchSpaceError:

@@ -45,8 +45,11 @@ bounds the causal solve and the grid-only non-causal solve
 (refine_rounds=0) from below by weak duality; the polish leaves the grid
 and may go lower.
 
-Heavy sweeps (more than ~2e7 grid points) evaluate tiles in float32 for
-memory-bandwidth reasons; small sweeps stay in float64. Reported rates
+The sweep evaluates every policy of one V size in one kernel call, in flat
+blocks of about ``_TILE_BYTES`` (1 MiB) of tile, so small specs pay no
+per-policy overhead. Heavy sweeps (more than ~2e7 grid points) evaluate
+tiles in float32 for memory-bandwidth reasons; small sweeps stay in
+float64. Reported rates
 never come from the tile path or the column table: the returned argmin is
 always re-evaluated through ``model``, so a point's rate reproduces under
 re-evaluation to float64 accuracy. Everything here is pure-functional over
@@ -96,6 +99,9 @@ _FEAS_EPS = 1e-12
 
 # Tile evaluation switches to float32 above this many grid points.
 _F32_THRESHOLD = 20_000_000
+
+# Bytes of tile per sweep block, and of per-state tables per policy chunk.
+_TILE_BYTES = 1 << 20
 
 # Pareto-frontier screening buckets (acceleration only; results stay exact).
 _N_BUCKETS = 4096
@@ -231,29 +237,26 @@ def _action_columns(spec: ProblemSpec) -> list[tuple[int, ...]]:
     return list(itertools.product(range(spec.a_size), repeat=spec.s_size))
 
 
-def _policies(spec: ProblemSpec, v_size: int, repeats: bool = False) -> list[np.ndarray]:
-    """Policy tables (s, v), one per set of ``v_size`` distinct action columns.
+def _policies(spec: ProblemSpec, v_size: int, repeats: bool = False) -> np.ndarray:
+    """A (P, s, v) stack of policy tables, one per set of ``v_size`` distinct
+    action columns, in ``itertools.combinations`` order.
 
     Merging two symbols that share a column never worsens the non-causal
     objective (see the module docstring), so the sweep skips repeats;
     ``repeats=True`` gives the full multiset enumeration that the oracle
     and the lossy bounds keep.
     """
-    cols = _action_columns(spec)
+    cols = np.array(_action_columns(spec))
     pick = itertools.combinations_with_replacement if repeats else itertools.combinations
-    return [_policy_table(cols, combo) for combo in pick(range(len(cols)), v_size)]
+    combos = np.array(list(pick(range(len(cols)), v_size)), dtype=np.int64).reshape(-1, v_size)
+    return np.ascontiguousarray(cols[combos].transpose(0, 2, 1))
 
 
 def _policy(spec: ProblemSpec, v_size: int, policy_id: int) -> np.ndarray:
     """``_policies(spec, v_size)[policy_id]``, without building the others."""
-    cols = _action_columns(spec)
+    cols = np.array(_action_columns(spec))
     combos = itertools.combinations(range(len(cols)), v_size)
-    return _policy_table(cols, next(itertools.islice(combos, policy_id, None)))
-
-
-def _policy_table(cols, combo) -> np.ndarray:
-    """The (s, v) policy table whose v-th column is ``cols[combo[v]]``."""
-    return np.ascontiguousarray(np.array([cols[c] for c in combo]).T)
+    return np.ascontiguousarray(cols[list(next(itertools.islice(combos, policy_id, None)))].T)
 
 
 def _policy_count(spec: ProblemSpec, v_size: int, repeats: bool = False) -> int:
@@ -288,23 +291,26 @@ class _Frontier:
         self.v_size = np.empty(0, dtype=np.int64)
         self.policy_id = np.empty(0, dtype=np.int64)
         self.combo = np.empty(0, dtype=np.int64)
+        self.screened = 0  # candidates screened, and those that passed
+        self.passed = 0
         self._width = max(cost_ceiling, 1e-300) / _N_BUCKETS
         self._bucket_lb = np.full(_N_BUCKETS + 1, np.inf)
 
     def screen(self, cost: np.ndarray, obj: np.ndarray) -> np.ndarray:
         idx = np.minimum((cost / self._width).astype(np.int64), _N_BUCKETS)
-        return obj < self._bucket_lb[idx]
+        keep = obj < self._bucket_lb[idx]
+        self.screened += len(keep)
+        self.passed += int(np.count_nonzero(keep))
+        return keep
 
-    def update(self, cost, obj, v_size: int, policy_id: int, combo) -> None:
+    def update(self, cost, obj, v_size: int, policy_id, combo) -> None:
+        """Merge candidates of one V size, with per-point policy ids and combos."""
         cost = np.concatenate([self.cost, np.asarray(cost, dtype=np.float64)])
         obj = np.concatenate([self.obj, np.asarray(obj, dtype=np.float64)])
         vs = np.concatenate(
             [self.v_size, np.full(len(cost) - len(self.v_size), v_size, dtype=np.int64)]
         )
-        pid = np.concatenate(
-            [self.policy_id,
-             np.full(len(cost) - len(self.policy_id), policy_id, dtype=np.int64)]
-        )
+        pid = np.concatenate([self.policy_id, np.asarray(policy_id, dtype=np.int64)])
         cmb = np.concatenate([self.combo, np.asarray(combo, dtype=np.int64)])
         order = np.lexsort((obj, cost))  # stable: earlier entries win ties
         cost, obj = cost[order], obj[order]
@@ -329,6 +335,10 @@ class _Frontier:
     def min_cost(self) -> float:
         return float(self.cost[0]) if len(self.cost) else np.inf
 
+    @property
+    def screen_pass(self) -> float:
+        return self.passed / self.screened
+
 
 # ---------------------------------------------------------------------------
 # Vectorized tile evaluation
@@ -336,78 +346,77 @@ class _Frontier:
 
 
 def _neg_plogp(arr: np.ndarray) -> np.ndarray:
-    """-sum p*ln(p) over the last axis, tolerating zeros, preserving dtype."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = arr * np.log(arr)
-    np.nan_to_num(term, copy=False, nan=0.0)
-    return -term.sum(axis=-1)
+    """-sum p*ln(p) over the last axis, 0 ln 0 = 0, preserving dtype."""
+    out = np.log(arr, out=np.zeros_like(arr), where=arr > 0)
+    out *= arr
+    return -out.sum(-1)
 
 
-def _sweep_tiles(spec, policy, grid, causal, dtype, consume):
-    """Evaluate objective/cost for every grid combo under one policy.
+def _sweep_tiles(spec, policies, grid, causal, dtype, consume):
+    """Evaluate objective/cost for every grid combo under a stack of policies.
 
-    ``consume(cost, obj, combo_ids)`` receives flat float64/float32 arrays.
-    Combos are mixed-radix over per-state row indices (state 0 most
-    significant); the causal pattern has a single shared row, combo = row.
+    ``policies`` is a (P, s, v) stack of tables of one V size. Points go out
+    in flat blocks of about _TILE_BYTES of tile over (policy, prefix) rows,
+    policy-major, then prefix, then inner row: the order of a loop over the
+    policies, so ties resolve as that loop would resolve them. The stack is
+    cut into chunks whose per-state tables stay near _TILE_BYTES too.
+    ``consume(cost, obj, policy_ids, combo_ids)`` receives flat arrays, the
+    policy ids indexing the stack. Combos are mixed-radix over per-state
+    row indices (state 0 most significant); the causal pattern has a single
+    shared row, combo = row.
     """
-    s_size, z_size = spec.state_joint.shape
-    v_size = policy.shape[1]
-    y_size = spec.y_size
-    n = grid.shape[0]
-    t = spec.channel[policy, np.arange(s_size)[:, None], :]  # (s, v, y)
-    lam = reduced_cost(spec)  # (s, a)
+    s_size = spec.s_size
+    n, v_size = grid.shape
+    n_axes = 1 if causal else s_size
+    k = spec.z_size * v_size * spec.y_size
+    row_bytes = n * k * np.dtype(dtype).itemsize
+    chunk = max(1, _TILE_BYTES // (n_axes * row_bytes))
+    block = max(8, min(4096, _TILE_BYTES // row_bytes))
+    n_prefix = n ** (n_axes - 1)
+    lam = reduced_cost(spec)
     p_s = spec.state_marginal
     h_z = entropy_bits(spec.side_info_marginal)
     h_grid = -xlogy(grid, grid).sum(axis=1) / _LN2
-
-    if causal:
-        # J[i] column-major over (z, v, y): r_i[v] * sum_s p(s, z) T[s, v, y]
-        m = np.einsum("sz,svy->zvy", spec.state_joint, t)
-        g_axes = [
-            np.ascontiguousarray(
-                (grid[:, None, :, None] * m[None, :, :, :]).reshape(n, -1), dtype=dtype
-            )
-        ]
-        cost_axes = [grid @ np.einsum("s,sv->v", p_s, lam[np.arange(s_size)[:, None], policy])]
-        h_axes = [h_grid]
-    else:
-        g_axes, cost_axes, h_axes = [], [], []
-        for s in range(s_size):
-            contrib = (
-                grid[:, None, :, None]
-                * (spec.state_joint[s][:, None, None] * t[s][None, :, :])
-            )  # (n, z, v, y)
-            g_axes.append(np.ascontiguousarray(contrib.reshape(n, -1), dtype=dtype))
-            cost_axes.append(grid @ (p_s[s] * lam[s, policy[s]]))
-            h_axes.append(p_s[s] * h_grid)
-
-    n_axes = len(g_axes)
-    k = g_axes[0].shape[1]
-    n_prefix = n ** (n_axes - 1)
-    # 16 MiB of tile per block, so float64 tiles hold half the elements
-    block = max(8, min(4096, (1 << 24) // max(1, n * k * np.dtype(dtype).itemsize)))
-    g_last = g_axes[-1]
     inner_ids = np.arange(n, dtype=np.int64)
 
-    for p0 in range(0, n_prefix, block):
-        p1 = min(p0 + block, n_prefix)
-        pid = np.arange(p0, p1, dtype=np.int64)
-        j_pre = np.zeros((len(pid), k), dtype=dtype)
-        cost_pre = np.zeros(len(pid))
-        h_pre = np.zeros(len(pid))
-        rem = pid.copy()
-        for s in range(n_axes - 2, -1, -1):
-            rows = rem % n
-            rem //= n
-            j_pre += g_axes[s][rows]
-            cost_pre += cost_axes[s][rows]
-            h_pre += h_axes[s][rows]
-        tile = j_pre[:, None, :] + g_last[None, :, :]
-        h_tile = _neg_plogp(tile) / dtype(_LN2)
-        obj = h_tile - (h_pre[:, None] + h_axes[-1][None, :]) - h_z
-        cost = cost_pre[:, None] + cost_axes[-1][None, :]
-        combos = pid[:, None] * n + inner_ids[None, :]
-        consume(cost.reshape(-1), obj.reshape(-1), combos.reshape(-1))
+    for c0 in range(0, len(policies), chunk):
+        pols = policies[c0:c0 + chunk]
+        t = spec.channel[pols, np.arange(s_size)[:, None], :]  # (P, s, v, y)
+        c = lam[np.arange(s_size)[:, None], pols]  # (P, s, v)
+        if causal:
+            # J[i] column-major over (z, v, y): r_i[v] * sum_s p(s, z) T[s, v, y]
+            m = [np.einsum("sz,psvy->pzvy", spec.state_joint, t)]
+            w = [np.einsum("s,psv->pv", p_s, c)]
+            h_axes = [h_grid]
+        else:
+            m = [spec.state_joint[s][:, None, None] * t[:, s, None] for s in range(s_size)]
+            w = [p_s[s] * c[:, s] for s in range(s_size)]
+            h_axes = [p_s[s] * h_grid for s in range(s_size)]
+        g_axes = [np.ascontiguousarray((grid[None, :, None, :, None] * ms[:, None])
+                                       .reshape(len(pols), n, k), dtype=dtype) for ms in m]
+        # a matrix-vector product per policy; one (n, v) @ (v, P) product rounds differently
+        cost_axes = [(grid @ ws[:, :, None])[:, :, 0] for ws in w]
+
+        n_rows = len(pols) * n_prefix
+        for r0 in range(0, n_rows, block):
+            flat = np.arange(r0, min(r0 + block, n_rows), dtype=np.int64)
+            pol, prefix = np.divmod(flat, n_prefix)  # policy-major, then prefix
+            j_pre = np.zeros((len(pol), k), dtype=dtype)
+            cost_pre = np.zeros(len(pol))
+            h_pre = np.zeros(len(pol))
+            rem = prefix
+            for s in range(n_axes - 2, -1, -1):
+                rem, rows = np.divmod(rem, n)
+                j_pre += g_axes[s][pol, rows]
+                cost_pre += cost_axes[s][pol, rows]
+                h_pre += h_axes[s][rows]
+            tile = g_axes[-1][pol]
+            tile += j_pre[:, None, :]
+            h_tile = _neg_plogp(tile) / dtype(_LN2)
+            obj = h_tile - (h_pre[:, None] + h_axes[-1][None, :]) - h_z
+            cost = cost_pre[:, None] + cost_axes[-1][pol]
+            combos = prefix[:, None] * n + inner_ids[None, :]
+            consume(cost.reshape(-1), obj.reshape(-1), np.repeat(pol + c0, n), combos.reshape(-1))
 
 
 def _outer_count(spec, config, repeats: bool = False) -> int:
@@ -419,28 +428,26 @@ def _outer_count(spec, config, repeats: bool = False) -> int:
 
 
 def _run_sweep(spec, config) -> _Frontier:
+    """The exact frontier of the non-causal grid sweep: one ``_sweep_tiles``
+    call per V size, on the stack of all its distinct-column policies."""
     total = _outer_count(spec, config)
     if total > config.search_limit:
         raise SearchSpaceError(total, config.search_limit, "grid sweep")
     dtype = np.float32 if total > _F32_THRESHOLD else np.float64
-    lam = reduced_cost(spec)
     frontier = _Frontier(
-        cost_ceiling=float(lam.max(initial=0.0)),
+        cost_ceiling=float(reduced_cost(spec).max(initial=0.0)),
         grid_points=total,
         tile_dtype=np.dtype(dtype).name,
     )
     for v_size in _v_sizes(spec, config):
+
+        def consume(cost, obj, policy_ids, combos):
+            keep = frontier.screen(cost, obj)
+            if np.any(keep):
+                frontier.update(cost[keep], obj[keep], v_size, policy_ids[keep], combos[keep])
+
         grid = _simplex_grid(v_size, config.grid_steps)
-        for policy_id, policy in enumerate(_policies(spec, v_size)):
-
-            def consume(cost, obj, combos, _v=v_size, _p=policy_id):
-                keep = frontier.screen(cost, obj)
-                if np.any(keep):
-                    frontier.update(
-                        cost[keep], obj[keep], _v, _p, combos[keep]
-                    )
-
-            _sweep_tiles(spec, policy, grid, False, dtype, consume)
+        _sweep_tiles(spec, _policies(spec, v_size), grid, False, dtype, consume)
     return frontier
 
 
@@ -590,8 +597,7 @@ def _columns(spec, config=None, weight: int = 1, subsets: int = 0) -> _Columns:
 
 
 def _column_table(spec) -> _Columns:
-    cols = _action_columns(spec)
-    policy = _policy_table(cols, range(len(cols)))
+    policy = np.ascontiguousarray(np.array(_action_columns(spec)).T)
     rows = np.arange(spec.s_size)[:, None]
     p_z = spec.side_info_marginal
     joint = np.einsum("sz,sny->nzy", spec.state_joint, spec.channel[policy, rows, :])
@@ -671,6 +677,8 @@ def solve_noncausal(
         "v_size_max": config.resolved_v_max(spec),
         "grid_points": frontier.grid_points,
         "tile_dtype": frontier.tile_dtype,
+        "frontier_size": len(frontier.cost),
+        "screen_pass": frontier.screen_pass,
     }
     hit = frontier.query(budget)
     if hit is None:
@@ -777,18 +785,19 @@ def _parse_mode(mode: str) -> bool:
 
 def brute_force_oracle(
     spec: ProblemSpec,
-    budget: float,
+    budgets,
     mode: str = "noncausal",
     dense_steps: int = 64,
     v_size: int | None = None,
     max_evals: int = 100_000_000,
-) -> RateCostPoint:
-    """Plain dense-grid minimum: no polish, no caching, no frontier.
+) -> list[RateCostPoint]:
+    """Plain dense-grid minima, one per budget: no polish, no caching, no frontier.
 
     Enumerates every policy on exactly ``v_size`` symbols, repeated action
     columns included (up to V relabeling, an exact symmetry), and
-    every simplex grid point at resolution 1/dense_steps, filters by
-    cost <= budget, and returns the smallest objective seen. Guarded by
+    every simplex grid point at resolution 1/dense_steps, once for all of
+    ``budgets``; per budget it keeps the smallest objective seen with
+    cost <= budget, and returns one point per budget, in order. Guarded by
     ``max_evals``; a larger request raises SearchSpaceError with the count.
 
     Against a smooth optimum the grid value sits above the true minimum by
@@ -798,7 +807,8 @@ def brute_force_oracle(
     quantization contributes |dR/dB| * step. The acceptance suite pins the
     documented slack 1e-2 at dense_steps = 64 on the binary instance.
     """
-    _check_budgets(budget=budget)
+    budgets = [float(b) for b in budgets]
+    _check_budgets(**{f"budgets[{i}]": b for i, b in enumerate(budgets)})
     causal = _parse_mode(mode)
     if v_size is None:
         v_size = spec.s_size + 2
@@ -809,33 +819,34 @@ def brute_force_oracle(
         raise SearchSpaceError(total, max_evals, "oracle enumeration")
     grid = _simplex_grid(v_size, dense_steps)
     dtype = np.float32 if total > _F32_THRESHOLD else np.float64
-    best = {"obj": np.inf, "policy_id": -1, "combo": -1}
+    policies = _policies(spec, v_size, repeats=True)
+    best = [(np.inf, -1, -1)] * len(budgets)  # (objective, policy id, combo) per budget
 
-    for policy_id, policy in enumerate(_policies(spec, v_size, repeats=True)):
+    def consume(cost, obj, policy_ids, combos):
+        for i, budget in enumerate(budgets):
+            feas = np.flatnonzero(cost <= budget + _FEAS_EPS)
+            if len(feas):
+                k = feas[int(np.argmin(obj[feas]))]
+                if obj[k] < best[i][0]:  # strict: the earliest point wins ties
+                    best[i] = (float(obj[k]), int(policy_ids[k]), int(combos[k]))
 
-        def consume(cost, obj, combos, _p=policy_id):
-            feas = cost <= budget + _FEAS_EPS
-            if not np.any(feas):
-                return
-            sub = np.flatnonzero(feas)
-            k = sub[int(np.argmin(obj[sub]))]
-            if obj[k] < best["obj"]:
-                best.update(obj=float(obj[k]), policy_id=_p, combo=int(combos[k]))
-
-        _sweep_tiles(spec, policy, grid, causal, dtype, consume)
+    _sweep_tiles(spec, policies, grid, causal, dtype, consume)
 
     meta = {"oracle": True, "dense_steps": dense_steps, "v_size": v_size,
             "evaluations": total, "mode": mode}
-    if best["policy_id"] < 0:
-        return RateCostPoint(budget=float(budget), rate=np.inf, cost=np.inf,
-                             feasible=False, metadata=meta)
-    policy = _policies(spec, v_size, repeats=True)[best["policy_id"]]
-    rows = _combo_rows(grid, best["combo"], n_axes)
-    value, cost = _eval_reference(spec, policy, rows, causal)
-    return RateCostPoint(
-        budget=float(budget), rate=value, cost=cost,
-        argmin=_make_aux(policy, rows, causal), solved_rate=value, metadata=meta,
-    )
+    points = []
+    for budget, (_, policy_id, combo) in zip(budgets, best):
+        if policy_id < 0:
+            points.append(RateCostPoint(budget=budget, rate=np.inf, cost=np.inf,
+                                        feasible=False, metadata=dict(meta)))
+            continue
+        policy, rows = policies[policy_id], _combo_rows(grid, combo, n_axes)
+        value, cost = _eval_reference(spec, policy, rows, causal)
+        points.append(RateCostPoint(
+            budget=budget, rate=value, cost=cost, argmin=_make_aux(policy, rows, causal),
+            solved_rate=value, metadata=dict(meta),
+        ))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -171,18 +171,17 @@ def test_criterion_4_oracle_equivalence():
         )
 
     worst_oracle = 0.0
-    for b in budgets:
-        pt_c = brute_force_oracle(spec, b, "causal", dense_steps=64, v_size=4)
+    oracle_c = brute_force_oracle(spec, budgets, "causal", dense_steps=64, v_size=4)
+    oracle_n = brute_force_oracle(spec, budgets, "noncausal", dense_steps=64, v_size=3)
+    for b, pt_c, pt_n in zip(budgets, oracle_c, oracle_n):
         worst_oracle = max(
-            worst_oracle, abs(pt_c.rate - parametric_min_causal(b, 0.1)[0])
-        )
-        pt_n = brute_force_oracle(spec, b, "noncausal", dense_steps=64, v_size=3)
-        worst_oracle = max(
-            worst_oracle, abs(pt_n.rate - parametric_min_noncausal(b, 0.1)[0])
+            worst_oracle,
+            abs(pt_c.rate - parametric_min_causal(b, 0.1)[0]),
+            abs(pt_n.rate - parametric_min_noncausal(b, 0.1)[0]),
         )
     refused = False
     try:
-        brute_force_oracle(spec, 0.25, "noncausal", dense_steps=64, v_size=4)
+        brute_force_oracle(spec, [0.25], "noncausal", dense_steps=64, v_size=4)
     except SearchSpaceError:
         refused = True
 

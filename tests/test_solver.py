@@ -178,7 +178,7 @@ class TestLosslessSolves:
             with pytest.raises(DomainError):
                 solve_noncausal(spec, bad, tiny)
             with pytest.raises(DomainError):
-                brute_force_oracle(spec, bad, dense_steps=2, v_size=1)
+                brute_force_oracle(spec, [0.1, bad], dense_steps=2, v_size=1)
             with pytest.raises(DomainError):
                 solve_lossy_causal(spec, 0.2, bad, tiny)
             with pytest.raises(DomainError):
@@ -258,11 +258,97 @@ class TestDistinctColumns:
             for v in ((2, 3) if spec.s_size == 2 else (2,)):
                 cfg = SolveConfig(grid_steps=4, refine_rounds=0, v_size_max=v)
                 for mode, solve in (("noncausal", solve_noncausal), ("causal", solve_causal)):
-                    for f in (0.1, 0.4, 0.8):
-                        b = float(lo + f * (hi - lo))
-                        full = brute_force_oracle(spec, b, mode, dense_steps=4, v_size=v)
+                    budgets = [float(lo + f * (hi - lo)) for f in (0.1, 0.4, 0.8)]
+                    oracle = brute_force_oracle(spec, budgets, mode, dense_steps=4, v_size=v)
+                    for b, full in zip(budgets, oracle):
                         assert full.feasible
                         assert solve(spec, b, cfg).rate <= full.rate + 1e-9
+
+
+def _frontier_arrays(frontier):
+    return (frontier.cost, frontier.obj, frontier.v_size, frontier.policy_id, frontier.combo)
+
+
+def _one_policy_at_a_time(spec, config):
+    """The sweep as a loop that feeds the tile kernel one policy per call."""
+    total = solver._outer_count(spec, config)
+    dtype = np.float32 if total > solver._F32_THRESHOLD else np.float64
+    frontier = solver._Frontier(float(reduced_cost(spec).max(initial=0.0)), total,
+                                np.dtype(dtype).name)
+    for v_size in solver._v_sizes(spec, config):
+        grid = solver._simplex_grid(v_size, config.grid_steps)
+        for policy_id, policy in enumerate(solver._policies(spec, v_size)):
+
+            def consume(cost, obj, policy_ids, combos, _v=v_size, _p=policy_id):
+                assert np.all(policy_ids == 0)
+                keep = frontier.screen(cost, obj)
+                if np.any(keep):
+                    frontier.update(cost[keep], obj[keep], _v,
+                                    np.full(int(keep.sum()), _p), combos[keep])
+
+            solver._sweep_tiles(spec, policy[None], grid, False, dtype, consume)
+    return frontier
+
+
+class TestBatchedSweep:
+    """The sweep evaluates every policy of one V size in one kernel call;
+    its frontier must be the one a loop over the policies builds, bit for bit."""
+
+    CONFIG = SolveConfig(grid_steps=4, v_size_max=2, refine_rounds=0)
+
+    def _check(self, monkeypatch, **patch):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            spec = box_spec(rng)
+            expect = _frontier_arrays(_one_policy_at_a_time(spec, self.CONFIG))
+            with monkeypatch.context() as m:
+                for name, value in patch.items():
+                    m.setattr(solver, name, value)
+                got = _frontier_arrays(solver._run_sweep(spec, self.CONFIG))
+            for a, b in zip(got, expect):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_float64_tiles(self, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_float32_tiles(self, monkeypatch):
+        monkeypatch.setattr(solver, "_F32_THRESHOLD", 0)
+        assert solver._run_sweep(box_spec(np.random.default_rng(19)),
+                                 self.CONFIG).tile_dtype == "float32"
+        self._check(monkeypatch)
+
+    @pytest.mark.parametrize("tile_bytes", [1, 4096])
+    def test_many_policy_chunks(self, monkeypatch, tile_bytes):
+        """One byte makes every policy its own chunk; 4096 bytes puts a few
+        policies in a chunk and a few rows in a block."""
+        self._check(monkeypatch, _TILE_BYTES=tile_bytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_log_entropy_matches_nan_to_num(self, dtype):
+        rng = np.random.default_rng(5)
+        arr = rng.random((64, 7, 12)).astype(dtype)
+        arr[rng.random(arr.shape) < 0.3] = 0.0
+        arr[0] = 0.0
+        arr[1, :, 0] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = arr * np.log(arr)
+        old = -np.nan_to_num(term, nan=0.0).sum(axis=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = solver._neg_plogp(arr)
+        assert new.dtype == dtype and np.array_equal(new, old)
+
+    def test_metadata_counts_the_frontier_and_screen(self):
+        spec = box_spec(np.random.default_rng(3))
+        cfg = replace(self.CONFIG, search_limit=123_456_789)  # a fresh cache key
+        first = solve_noncausal(spec, 0.3, cfg).metadata
+        frontier = solver._run_sweep(spec, cfg)
+        assert first["frontier_size"] == len(frontier.cost) > 0
+        assert 0.0 < first["screen_pass"] <= 1.0
+        assert frontier.passed <= frontier.screened == first["grid_points"]
+        hit = solve_noncausal(spec, 0.5, cfg).metadata
+        assert (hit["frontier_size"], hit["screen_pass"]) == (
+            first["frontier_size"], first["screen_pass"])
 
 
 class TestPolish:
@@ -384,27 +470,39 @@ class TestTraceCurve:
 class TestOracle:
     def test_mode_validation(self):
         with pytest.raises(UsageError, match="mode must be"):
-            brute_force_oracle(make_binary_example(0.1), 0.2, mode="bogus")
+            brute_force_oracle(make_binary_example(0.1), [0.2], mode="bogus")
 
     def test_guard_refuses_oversized_enumerations(self):
         spec = make_binary_example(0.1)
         with pytest.raises(SearchSpaceError):
-            brute_force_oracle(spec, 0.2, mode="noncausal", v_size=4,
+            brute_force_oracle(spec, [0.2], mode="noncausal", v_size=4,
                                dense_steps=64)
 
     def test_matches_closed_form_at_modest_density(self):
         """dense_steps = 20 keeps the run fast; the documented slack scales
         like a few grid steps."""
         spec = make_binary_example(0.1)
-        pt = brute_force_oracle(spec, 0.3, mode="causal", dense_steps=20,
-                                v_size=2)
+        (pt,) = brute_force_oracle(spec, [0.3], mode="causal", dense_steps=20,
+                                   v_size=2)
         err = pt.rate - rate_causal_binary(0.3, 0.1)
         assert -1e-9 <= err <= 5e-2
         assert pt.metadata["oracle"]
 
+    def test_one_enumeration_answers_each_budget(self):
+        """A budget list gives, budget by budget, what a one-budget call gives."""
+        spec = box_spec(np.random.default_rng(11))
+        budgets = [0.0, 0.2, 0.45, 0.7, 0.2]
+        for mode in ("noncausal", "causal"):
+            together = brute_force_oracle(spec, budgets, mode, dense_steps=6, v_size=2)
+            assert [p.budget for p in together] == budgets
+            for b, pt in zip(budgets, together):
+                (alone,) = brute_force_oracle(spec, [b], mode, dense_steps=6, v_size=2)
+                assert (pt.feasible, pt.rate, pt.cost, pt.argmin_summary()) == (
+                    alone.feasible, alone.rate, alone.cost, alone.argmin_summary())
+
     def test_oracle_reports_infeasible(self):
-        pt = brute_force_oracle(unit_cost_spec(), 0.2, mode="causal",
-                                dense_steps=8, v_size=2)
+        (pt,) = brute_force_oracle(unit_cost_spec(), [0.2], mode="causal",
+                                   dense_steps=8, v_size=2)
         assert not pt.feasible and pt.rate == np.inf
 
 
